@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-faults test-passes test-generative test-sanval test-verified smoke-generate sancheck sancheck-baseline chaos bench bench-quick bench-scaling bench-passes bench-throughput precision analyze examples clean
+.PHONY: install test test-fast test-e2e-bench test-faults test-passes test-generative test-sanval test-verified smoke-generate sancheck sancheck-baseline chaos bench bench-quick bench-scaling bench-passes bench-throughput precision analyze examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,6 +14,12 @@ test:
 # generative-pipeline, and sanitizer-validation tests.
 test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow and not interproc and not generative and not sanval"
+
+# The end-to-end benchmark's own tests: its output checks, work-count
+# repeatability, and that every boundary e2e_bench/spans.py wraps still
+# resolves by name in the program.  e2e_bench/README.md.
+test-e2e-bench:
+	timeout 300 $(PYTHON) -m pytest e2e_bench/tests -q
 
 # Robustness lane: fault injection + checkpoint/resume round trips.
 test-faults:

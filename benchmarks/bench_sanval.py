@@ -27,7 +27,8 @@ import sys
 
 import pytest
 
-from repro.sanval import FindingBank, SancheckCampaign, SancheckOptions
+from repro.campaigns.bank import Bank
+from repro.sanval import SancheckCampaign, SancheckOptions
 
 from _common import write_result
 
@@ -37,7 +38,7 @@ FIXTURES = pathlib.Path(__file__).parent.parent / "tests" / "fixtures" / "sanval
 
 def measure(tmp_bank=None, workers: int = 1):
     options = SancheckOptions(fixtures=str(FIXTURES), workers=workers)
-    bank = FindingBank(tmp_bank) if tmp_bank is not None else None
+    bank = Bank(tmp_bank) if tmp_bank is not None else None
     with SancheckCampaign(options, bank=bank) as campaign:
         return campaign.run()
 
@@ -82,8 +83,8 @@ def test_sanval_deterministic_across_workers(tmp_path):
     assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
         pooled.to_json(), sort_keys=True
     )
-    serial_bank = FindingBank(tmp_path / "serial")
-    pooled_bank = FindingBank(tmp_path / "pooled")
+    serial_bank = Bank(tmp_path / "serial")
+    pooled_bank = Bank(tmp_path / "pooled")
     assert serial_bank.keys() == pooled_bank.keys()
     for key in serial_bank.keys():
         assert serial_bank.get(key).source == pooled_bank.get(key).source
@@ -95,7 +96,7 @@ def test_sanval_banks_reduced_repros(tmp_path):
     from repro.minic import load
 
     measure(tmp_bank=tmp_path)
-    bank = FindingBank(tmp_path)
+    bank = Bank(tmp_path)
     assert len(bank) > 0
     for finding in bank:
         load(finding.source)  # must still parse and check

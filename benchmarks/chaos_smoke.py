@@ -34,16 +34,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.campaigns.runtime import (
-    CampaignRuntime,
-    GenerativeShardAdapter,
-    SancheckShardAdapter,
-    ShardPolicy,
-)
-from repro.generative.bank import CorpusBank
+from repro.campaigns.bank import Bank
+from repro.campaigns.runtime import CampaignRuntime, ShardPolicy
 from repro.generative.campaign import GenerativeCampaign, GenerativeOptions
 from repro.parallel.faults import ShardFaultPlan
-from repro.sanval.bank import FindingBank
 from repro.sanval.campaign import SancheckCampaign, SancheckOptions
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures", "sanval")
@@ -75,8 +69,7 @@ def gen_options() -> GenerativeOptions:
 def run_sharded(workdir: str, name: str, fault_plan, policy=POLICY):
     bank_dir = os.path.join(workdir, f"{name}-merged")
     runtime = CampaignRuntime(
-        GenerativeShardAdapter(gen_options()),
-        CorpusBank(bank_dir),
+        GenerativeCampaign(gen_options(), Bank(bank_dir)),
         root=os.path.join(workdir, f"{name}-campaign"),
         shards=2,
         policy=policy,
@@ -93,7 +86,7 @@ def main() -> int:
         print(f"chaos smoke: {BUDGET}-seed generative campaign, 2 shards")
 
         serial_dir = os.path.join(workdir, "serial")
-        with GenerativeCampaign(gen_options(), CorpusBank(serial_dir)) as campaign:
+        with GenerativeCampaign(gen_options(), Bank(serial_dir)) as campaign:
             serial = campaign.run()
         reference = corpus_bytes(serial_dir)
         ok &= check(
@@ -138,12 +131,11 @@ def main() -> int:
             fixtures=FIXTURES, relocations=("outline",), reduce=False
         )
         san_serial_dir = os.path.join(workdir, "san-serial")
-        with SancheckCampaign(san_options, bank=FindingBank(san_serial_dir)) as c:
+        with SancheckCampaign(san_options, bank=Bank(san_serial_dir)) as c:
             san_serial = c.run()
         san_merged_dir = os.path.join(workdir, "san-merged")
         san_runtime = CampaignRuntime(
-            SancheckShardAdapter(san_options),
-            FindingBank(san_merged_dir),
+            SancheckCampaign(san_options, Bank(san_merged_dir)),
             root=os.path.join(workdir, "san-campaign"),
             shards=2,
             policy=POLICY,

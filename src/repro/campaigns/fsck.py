@@ -1,30 +1,31 @@
 """Corpus salvage: quarantine the broken parts of a bank, keep the rest.
 
-Bank loading (:class:`~repro.generative.bank.CorpusBank`,
-:class:`~repro.sanval.bank.FindingBank`) is deliberately strict — a
-corrupt manifest or a missing program file raises
+Bank loading (:class:`~repro.campaigns.bank.Bank`) is deliberately
+strict — a corrupt manifest or a missing program file raises
 :class:`~repro.errors.ReproError` rather than silently dropping
 evidence.  ``repro bank fsck`` is the other half of that contract: it
 walks a damaged bank, moves everything unsalvageable into a
 ``corrupt/`` sidecar (with a ledger recording why), rewrites the
 manifest over the surviving entries, and leaves a bank that loads
-cleanly again.
+cleanly again.  It is also the migration path: a version-1 manifest
+(``{"version": 1, "repros"|"findings": [...]}``) is validated like any
+other and rewritten in the version-2 layout.
 
 What gets quarantined, per entry:
 
 * manifest entries that do not parse back into a banked record;
-* entries whose program file (or ``.good.c`` twin, for generative
-  banks) is missing or unreadable;
+* entries whose program files (``.c``, plus the ``.good.c`` twin for
+  generative banks) are missing or unreadable;
 * entries whose recorded dedupe key does not match the key recomputed
   from their own metadata (a tampered or bit-rotten record);
 * duplicate keys (first occurrence wins, later ones quarantined);
 * program files no surviving entry references (orphans).
 
-A manifest that does not parse at all (or has the wrong version) is
-quarantined wholesale and **no new manifest is written**: both bank
-classes treat a missing manifest as an empty bank, so the directory
-still loads — with its programs preserved under ``corrupt/`` for
-manual recovery.
+A manifest that does not parse at all (or is no bank manifest) is
+quarantined wholesale and **no new manifest is written**: a bank treats
+a missing manifest as empty, so the directory still loads — with its
+programs preserved under ``corrupt/`` for manual recovery.  A manifest
+of an unknown version keeps its file but distrusts every entry.
 
 Sidecar layout (``<root>/corrupt/``)::
 
@@ -41,6 +42,14 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.campaigns.bank import (
+    BANK_KINDS,
+    BANK_VERSION,
+    GENERATIVE,
+    SANCHECK,
+    Bank,
+    record_type,
+)
 from repro.errors import ReproError
 from repro.persist import atomic_write_json, fsync_directory
 
@@ -50,10 +59,8 @@ LEDGER_FILE = "ledger.json"
 #: Sidecar ledger format version.
 LEDGER_VERSION = 1
 
-#: Detectable bank kinds.
-GENERATIVE = "generative"
-SANCHECK = "sancheck"
-BANK_KINDS = (GENERATIVE, SANCHECK)
+#: The version-1 manifest's entry list, per kind.
+V1_ENTRIES = {GENERATIVE: "repros", SANCHECK: "findings"}
 
 
 @dataclass
@@ -85,6 +92,8 @@ class FsckReport:
     #: True when the manifest itself was unreadable and went wholesale
     #: into the sidecar.
     manifest_quarantined: bool = False
+    #: True when a version-1 manifest was rewritten as version 2.
+    migrated: bool = False
 
     @property
     def clean(self) -> bool:
@@ -97,20 +106,22 @@ class FsckReport:
             "total_entries": self.total_entries,
             "kept": self.kept,
             "manifest_quarantined": self.manifest_quarantined,
+            "migrated": self.migrated,
             "quarantined": [finding.to_json() for finding in self.quarantined],
         }
 
     def render(self) -> str:
+        migrated = f"; manifest migrated to version {BANK_VERSION}" if self.migrated else ""
         if self.clean:
             return (
                 f"bank fsck: {self.root} is clean "
-                f"({self.kept} of {self.total_entries} entries verified)"
+                f"({self.kept} of {self.total_entries} entries verified{migrated})"
             )
         lines = [
             f"bank fsck: salvaged {self.root} — kept {self.kept} of "
             f"{self.total_entries} entries, quarantined "
             f"{len(self.quarantined)} item(s) into "
-            f"{os.path.join(self.root, CORRUPT_DIR)}"
+            f"{os.path.join(self.root, CORRUPT_DIR)}{migrated}"
         ]
         for finding in self.quarantined:
             label = finding.key if finding.key is not None else "<bank>"
@@ -154,10 +165,12 @@ def _append_ledger(root: Path, findings: list[FsckFinding]) -> None:
 
 
 def _detect_kind(data: dict) -> str | None:
-    if "repros" in data:
-        return GENERATIVE
-    if "findings" in data:
-        return SANCHECK
+    if "entries" in data:
+        kind = data.get("kind")
+        return kind if kind in BANK_KINDS else None
+    for kind, name in V1_ENTRIES.items():
+        if name in data:
+            return kind
     return None
 
 
@@ -177,8 +190,8 @@ def fsck_bank(root: str | os.PathLike, kind: str = "auto") -> FsckReport:
     if kind != "auto" and kind not in BANK_KINDS:
         raise ReproError(f"unknown bank kind {kind!r}; expected one of {BANK_KINDS}")
     root_path = Path(root)
-    manifest_path = root_path / "manifest.json"
-    programs_dir = root_path / "programs"
+    manifest_path = root_path / Bank.MANIFEST
+    programs_dir = root_path / Bank.PROGRAMS_DIR
     if not manifest_path.exists() and not programs_dir.is_dir():
         raise ReproError(f"{root_path} is not a corpus bank (no manifest, no programs)")
 
@@ -217,7 +230,7 @@ def fsck_bank(root: str | os.PathLike, kind: str = "auto") -> FsckReport:
         )
         data = None
 
-    kept_records: list[dict] = []
+    kept_records: list = []
     referenced: set[str] = set()
     if data is not None:
         kept_records, referenced = _validate_entries(root_path, data, kind, report)
@@ -247,37 +260,37 @@ def fsck_bank(root: str | os.PathLike, kind: str = "auto") -> FsckReport:
 
 def _validate_entries(
     root: Path, data: dict, kind: str, report: FsckReport
-) -> tuple[list[dict], set[str]]:
+) -> tuple[list, set[str]]:
     """Validate each manifest entry; quarantine failures via *report*."""
-    from repro.generative.bank import BANK_SCHEMA_VERSION, BankedRepro, corpus_key
-    from repro.sanval.bank import SANVAL_BANK_VERSION, BankedFinding, finding_key
-
-    programs = root / "programs"
-    if kind == GENERATIVE:
-        records, version = data.get("repros", []), BANK_SCHEMA_VERSION
-    else:
-        records, version = data.get("findings", []), SANVAL_BANK_VERSION
-    report.total_entries = len(records)
-    if data.get("version") != version:
-        for record in records:
-            key = record.get("key") if isinstance(record, dict) else None
+    cls = record_type(kind)
+    version = data.get("version")
+    entries = data["entries"] if "entries" in data else data.get(V1_ENTRIES[kind], [])
+    if version == 1:
+        for entry in entries:
+            if isinstance(entry, dict) and "inputs_hex" in entry:
+                entry["inputs"] = entry.pop("inputs_hex")
+        report.migrated = True
+    report.total_entries = len(entries)
+    if version not in (1, BANK_VERSION):
+        for entry in entries:
+            key = entry.get("key") if isinstance(entry, dict) else None
             report.quarantined.append(
                 FsckFinding(
                     key=key,
                     reason=(
-                        f"manifest version {data.get('version')!r} is not "
-                        f"{version}; entry cannot be trusted"
+                        f"manifest version {version!r} is not "
+                        f"{BANK_VERSION}; entry cannot be trusted"
                     ),
-                    files=_quarantine_programs(root, key, kind),
+                    files=_quarantine_programs(root, key, cls),
                 )
             )
         return [], set()
 
-    kept: list[dict] = []
+    kept: list = []
     referenced: set[str] = set()
     seen: set[str] = set()
-    for record in records:
-        key = record.get("key") if isinstance(record, dict) else None
+    for entry in entries:
+        key = entry.get("key") if isinstance(entry, dict) else None
         if not isinstance(key, str) or not key:
             report.quarantined.append(
                 FsckFinding(key=None, reason="manifest entry has no key", files=[])
@@ -292,87 +305,45 @@ def _validate_entries(
                 )
             )
             continue
-        source_path = programs / f"{key}.c"
-        good_path = programs / f"{key}.good.c"
+        reason = None
         try:
-            source = source_path.read_text()
-            if kind == GENERATIVE:
-                good = good_path.read_text()
-                banked = BankedRepro.from_json(record, source, good)
-                expected = corpus_key(
-                    set(banked.checkers), banked.culprit_original, banked.partition
-                )
-            else:
-                banked = BankedFinding.from_json(record, source)
-                expected = finding_key(
-                    banked.sanitizer,
-                    banked.outcome,
-                    banked.kinds,
-                    banked.checkers,
-                    banked.oracle_fingerprints,
-                    banked.partition,
-                )
+            programs = {
+                name: (root / Bank.PROGRAMS_DIR / f"{key}{suffix}").read_text()
+                for name, suffix in cls.PROGRAMS.items()
+            }
+            record = cls.from_json(entry, programs)
+            if record.key != key:
+                reason = f"recorded key does not match metadata (recomputed {record.key})"
         except OSError as exc:
-            report.quarantined.append(
-                FsckFinding(
-                    key=key,
-                    reason=f"program file missing or unreadable: {exc}",
-                    files=_quarantine_programs(root, key, kind),
-                )
-            )
-            continue
+            reason = f"program file missing or unreadable: {exc}"
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            reason = f"manifest entry does not parse: {exc!r}"
+        if reason is not None:
             report.quarantined.append(
-                FsckFinding(
-                    key=key,
-                    reason=f"manifest entry does not parse: {exc!r}",
-                    files=_quarantine_programs(root, key, kind),
-                )
-            )
-            continue
-        if expected != key:
-            report.quarantined.append(
-                FsckFinding(
-                    key=key,
-                    reason=(
-                        f"recorded key does not match metadata "
-                        f"(recomputed {expected})"
-                    ),
-                    files=_quarantine_programs(root, key, kind),
-                )
+                FsckFinding(key=key, reason=reason, files=_quarantine_programs(root, key, cls))
             )
             continue
         seen.add(key)
         kept.append(record)
-        referenced.add(f"{key}.c")
-        if kind == GENERATIVE:
-            referenced.add(f"{key}.good.c")
+        referenced.update(f"{key}{suffix}" for suffix in cls.PROGRAMS.values())
     report.kept = len(kept)
     return kept, referenced
 
 
-def _quarantine_programs(root: Path, key: str | None, kind: str) -> list[str]:
+def _quarantine_programs(root: Path, key: str | None, cls) -> list[str]:
     """Move a quarantined entry's program files into the sidecar."""
     if key is None:
         return []
     moved = []
-    names = [f"{key}.c"]
-    if kind == GENERATIVE:
-        names.append(f"{key}.good.c")
-    for name in names:
-        path = root / "programs" / name
+    for suffix in cls.PROGRAMS.values():
+        path = root / Bank.PROGRAMS_DIR / f"{key}{suffix}"
         if path.exists():
             moved.append(_sidecar_move(root, path))
     return moved
 
 
-def _rewrite_manifest(manifest_path: Path, kind: str, records: list[dict]) -> None:
-    from repro.generative.bank import BANK_SCHEMA_VERSION
-    from repro.sanval.bank import SANVAL_BANK_VERSION
-
-    ordered = sorted(records, key=lambda record: record["key"])
-    if kind == GENERATIVE:
-        payload = {"version": BANK_SCHEMA_VERSION, "repros": ordered}
-    else:
-        payload = {"version": SANVAL_BANK_VERSION, "findings": ordered}
-    atomic_write_json(manifest_path, payload)
+def _rewrite_manifest(manifest_path: Path, kind: str, records: list) -> None:
+    entries = [record.to_json() for record in sorted(records, key=lambda r: r.key)]
+    atomic_write_json(
+        manifest_path, {"version": BANK_VERSION, "kind": kind, "entries": entries}
+    )

@@ -3,10 +3,9 @@
 Campaigns in this repo are deterministic walks over a seed range, so
 parallelising them is a *partitioning* problem, not a queueing one: the
 range is split into contiguous blocks, one per shard, and each shard
-worker process drives the ordinary single-process campaign
-(:class:`~repro.generative.campaign.GenerativeCampaign` or
-:class:`~repro.sanval.campaign.SancheckCampaign`) over its block with
-its own checkpoint directory and its own bank shard.  Because blocks are
+worker process runs the ordinary campaign kernel
+(:func:`~repro.campaigns.kernel.run_campaign`) over its block with its
+own checkpoint directory and its own bank shard.  Because blocks are
 contiguous and in shard order, concatenating shard results reproduces
 the serial discovery order exactly — which is what lets the merge be
 held to a byte-identity contract rather than a fuzzy "same-ish corpus"
@@ -41,9 +40,10 @@ Supervision (one poll loop, no threads):
   itself died relaunches only the unfinished shards and converges on
   the same corpus.
 
-The merge replays serial banking order: shard key streams are
-concatenated in shard order, and each key's banked entry is the one
-discovered at the lowest global seed offset — exactly the entry a
+The merge (:func:`~repro.campaigns.kernel.merge_shards`) replays serial
+banking order: shard key streams are concatenated in shard order and
+run through the kernel's dedupe step, and each key's banked entry is the
+one discovered at the lowest global seed offset — exactly the entry a
 serial run would have banked first.  Invariant (pinned by
 ``tests/test_campaign_runtime.py`` and ``make chaos``): for any
 :class:`~repro.parallel.faults.ShardFaultPlan`, the merged corpus is
@@ -70,8 +70,10 @@ import shutil
 import signal
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
+from repro.campaigns.bank import Bank
+from repro.campaigns.kernel import CHECKPOINT_FILE, Campaign, merge_shards, run_campaign
 from repro.campaigns.sigint import DeferredInterrupt
 from repro.errors import CheckpointError, EngineConfigError, ReproError
 from repro.parallel.faults import ShardFaultPlan, execute_shard_fault
@@ -166,265 +168,8 @@ class ShardRecord:
     lo: int
     hi: int
     #: The shard campaign's ordinary result object
-    #: (GenerativeResult or SancheckResult).
+    #: (a :class:`~repro.campaigns.kernel.CampaignResult`).
     result: object
-
-
-# --------------------------------------------------------------------------
-# Campaign adapters
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class GenerativeShardAdapter:
-    """Runs :class:`~repro.generative.campaign.GenerativeCampaign` slices.
-
-    Picklable (plain options dataclass inside) so shard workers can be
-    spawned as well as forked.  ``min_banked`` early exit is disabled on
-    shards — it is order-dependent and would break the byte-identity
-    contract — and the differential engine runs single-worker inside
-    each shard (the shard *is* the parallelism).
-    """
-
-    options: object  # GenerativeOptions
-
-    kind = "generative"
-
-    @property
-    def checkpoint_file(self) -> str:
-        from repro.generative.campaign import CHECKPOINT_FILE
-
-        return CHECKPOINT_FILE
-
-    def digest(self) -> str:
-        return self.options.digest()
-
-    def total(self) -> int:
-        return self.options.budget
-
-    def label(self, offset: int) -> str:
-        options = self.options
-        return f"gen-{options.profile}-{options.seed + offset}"
-
-    def run_slice(
-        self,
-        lo: int,
-        hi: int,
-        skip: frozenset[int],
-        bank_dir: str,
-        ckpt_dir: str,
-        progress: Optional[Callable[[int], None]],
-    ):
-        from repro.generative.bank import CorpusBank
-        from repro.generative.campaign import GenerativeCampaign
-
-        options = replace(
-            self.options,
-            checkpoint_dir=ckpt_dir,
-            # Boundary-exact checkpoints: an injected crash at offset k
-            # resumes at exactly k, so shard counters never drift.
-            checkpoint_every=1,
-            min_banked=None,
-            workers=1,
-        )
-        bank = CorpusBank(bank_dir)
-        with GenerativeCampaign(
-            options,
-            bank,
-            seed_slice=(lo, hi),
-            skip_offsets=skip,
-            progress=progress,
-            interruptible=False,
-        ) as campaign:
-            return campaign.run()
-
-    def merge(self, bank, payloads: list[tuple[ShardRecord, str]], db=None):
-        """Merge shard banks + results into *bank*, serial-identically.
-
-        Shard key streams concatenated in shard order reproduce serial
-        discovery order (blocks are contiguous), and each key's winning
-        entry is the shard-bank entry with the lowest global seed
-        offset — the entry a serial run would have banked.
-
-        With a shared :class:`~repro.db.CorpusDB`, each key is claimed
-        in the database before banking: a class another campaign (or
-        shard cluster sharing the DB) already registered counts as a
-        duplicate instead of re-banking.  ``db=None`` is byte-identical
-        to the pre-DB merge.
-        """
-        from repro.generative.bank import CorpusBank
-        from repro.generative.campaign import GenerativeResult
-
-        merged = GenerativeResult()
-        winners: dict[str, tuple[int, object]] = {}
-        for record, bank_dir in payloads:
-            for repro in CorpusBank(bank_dir):
-                offset = repro.seed - self.options.seed
-                current = winners.get(repro.key)
-                if current is None or offset < current[0]:
-                    winners[repro.key] = (offset, repro)
-            result = record.result
-            merged.generated += result.generated
-            merged.divergent += result.divergent
-            merged.keys.extend(result.keys)
-        for key in merged.keys:
-            if key in bank:
-                merged.duplicates += 1
-                continue
-            entry = winners[key][1]
-            if db is not None and not _db_claim_generative(db, entry):
-                merged.duplicates += 1
-                continue
-            bank.add(entry)
-            merged.banked_new += 1
-            if entry.culprit_drifted:
-                merged.drifted += 1
-        if db is not None:
-            db.commit()
-        merged.corpus_size = len(bank)
-        return merged
-
-
-@dataclass
-class SancheckShardAdapter:
-    """Runs :class:`~repro.sanval.campaign.SancheckCampaign` slices."""
-
-    options: object  # SancheckOptions
-
-    kind = "sancheck"
-
-    @property
-    def checkpoint_file(self) -> str:
-        from repro.sanval.campaign import CHECKPOINT_FILE
-
-        return CHECKPOINT_FILE
-
-    def digest(self) -> str:
-        return self.options.digest()
-
-    def total(self) -> int:
-        from repro.sanval.campaign import build_seeds
-
-        return len(build_seeds(self.options))
-
-    def label(self, offset: int) -> str:
-        from repro.sanval.campaign import seed_labels
-
-        labels = seed_labels(self.options)
-        return labels[offset] if 0 <= offset < len(labels) else f"seed-{offset}"
-
-    def run_slice(
-        self,
-        lo: int,
-        hi: int,
-        skip: frozenset[int],
-        bank_dir: str,
-        ckpt_dir: str,
-        progress: Optional[Callable[[int], None]],
-    ):
-        from repro.sanval.bank import FindingBank
-        from repro.sanval.campaign import SancheckCampaign
-
-        options = replace(
-            self.options,
-            checkpoint_dir=ckpt_dir,
-            checkpoint_every=1,
-            workers=1,
-        )
-        bank = FindingBank(bank_dir)
-        with SancheckCampaign(
-            options,
-            bank=bank,
-            seed_slice=(lo, hi),
-            skip_offsets=skip,
-            progress=progress,
-            interruptible=False,
-        ) as campaign:
-            return campaign.run()
-
-    def merge(self, bank, payloads: list[tuple[ShardRecord, str]], db=None):
-        """Merge shard banks + results into *bank*, serial-identically.
-
-        Verdicts concatenate in shard order (each shard judged only its
-        block, in order), and banking replays the FN/FP verdict stream:
-        a key's winner is the entry banked by the shard whose block
-        first produced it.  A shared :class:`~repro.db.CorpusDB` adds
-        cross-campaign dedupe exactly as in the generative merge;
-        ``db=None`` is byte-identical to the pre-DB merge.
-        """
-        from repro.sanval.bank import FindingBank, finding_key
-        from repro.sanval.campaign import SancheckResult
-        from repro.sanval.verdict import FN, FP
-
-        merged = SancheckResult()
-        shard_banks = []
-        for record, bank_dir in payloads:
-            result = record.result
-            merged.seeds += result.seeds
-            merged.variants += result.variants
-            merged.dropped += result.dropped
-            merged.screened += result.screened
-            merged.skipped += result.skipped
-            merged.verdicts.extend(result.verdicts)
-            shard_banks.append(FindingBank(bank_dir))
-        if bank is not None:
-            for (record, _), shard_bank in zip(payloads, shard_banks):
-                for verdict in record.result.verdicts:
-                    if verdict.outcome not in (FN, FP):
-                        continue
-                    kinds = (
-                        verdict.expected
-                        if verdict.outcome == FN
-                        else verdict.reported_kinds
-                    )
-                    key = finding_key(
-                        verdict.sanitizer,
-                        verdict.outcome,
-                        kinds,
-                        verdict.truth.confirmed_checkers,
-                        verdict.truth.oracle_fingerprints,
-                        verdict.truth.partition,
-                    )
-                    if key in bank:
-                        merged.duplicates += 1
-                        continue
-                    entry = shard_bank.get(key)
-                    if entry is None:
-                        continue
-                    if db is not None and not _db_claim_sancheck(db, entry):
-                        merged.duplicates += 1
-                        continue
-                    if bank.add(entry):
-                        merged.banked_new += 1
-            if db is not None:
-                db.commit()
-            merged.bank_size = len(bank)
-        return merged
-
-
-def _db_claim_generative(db, repro) -> bool:
-    """Claim a generative repro's class in the shared DB (True = ours)."""
-    from repro.db import CLASS_GENERATIVE
-
-    fingerprint = db.add_program(repro.source, name=f"gen/{repro.key}")
-    for checker, diag in zip(repro.checkers, repro.fingerprints):
-        db.add_diagnostic(fingerprint, checker, diag)
-    record = dict(repro.to_json())
-    record["_source"] = repro.source
-    record["_good_source"] = repro.good_source
-    return db.register_class(CLASS_GENERATIVE, repro.key, fingerprint, record)
-
-
-def _db_claim_sancheck(db, finding) -> bool:
-    """Claim a sanval finding's class in the shared DB (True = ours)."""
-    from repro.db import CLASS_SANCHECK
-
-    fingerprint = db.add_program(finding.source, name=f"sanval/{finding.key}")
-    for checker, diag in zip(finding.checkers, finding.oracle_fingerprints):
-        db.add_diagnostic(fingerprint, checker, diag)
-    record = dict(finding.to_json())
-    record["_source"] = finding.source
-    return db.register_class(CLASS_SANCHECK, finding.key, fingerprint, record)
 
 
 # --------------------------------------------------------------------------
@@ -433,7 +178,8 @@ def _db_claim_sancheck(db, finding) -> bool:
 
 
 def _shard_worker(
-    adapter,
+    campaign_type: type[Campaign],
+    options,
     lo: int,
     hi: int,
     skip: frozenset[int],
@@ -458,7 +204,11 @@ def _shard_worker(
     heartbeat_path = os.path.join(shard_dir, HEARTBEAT_FILE)
     ckpt_dir = os.path.join(shard_dir, SHARD_CKPT_DIR)
     bank_dir = os.path.join(shard_dir, SHARD_BANK_DIR)
-    ckpt_path = os.path.join(ckpt_dir, adapter.checkpoint_file)
+    ckpt_path = os.path.join(ckpt_dir, CHECKPOINT_FILE)
+    # Boundary-exact checkpoints: an injected crash at offset k resumes
+    # at exactly k.  The shard *is* the parallelism, so its engine runs
+    # single-worker; ``min_banked`` is order-dependent and never applies.
+    options = replace(options, checkpoint_dir=ckpt_dir, checkpoint_every=1, workers=1)
 
     def progress(offset: int) -> None:
         atomic_write_json(heartbeat_path, {"offset": offset, "pid": os.getpid()})
@@ -467,8 +217,16 @@ def _shard_worker(
             if kind is not None:
                 execute_shard_fault(kind, checkpoint_path=ckpt_path)
 
+    def run():
+        bank = Bank(bank_dir, kind=campaign_type.kind)
+        with campaign_type(options, bank) as campaign:
+            return run_campaign(
+                campaign, seed_slice=(lo, hi), skip=skip, progress=progress,
+                interruptible=False,
+            )
+
     try:
-        result = adapter.run_slice(lo, hi, skip, bank_dir, ckpt_dir, progress)
+        result = run()
     except ReproError:
         # Torn/corrupt shard state (CheckpointError from the checkpoint,
         # ReproError from the bank manifest): wipe this shard only and
@@ -476,11 +234,11 @@ def _shard_worker(
         # campaign error and propagates.
         shutil.rmtree(ckpt_dir, ignore_errors=True)
         shutil.rmtree(bank_dir, ignore_errors=True)
-        result = adapter.run_slice(lo, hi, skip, bank_dir, ckpt_dir, progress)
+        result = run()
     write_record(
         os.path.join(shard_dir, RESULT_FILE),
         SHARD_MAGIC,
-        ShardRecord(options_digest=adapter.digest(), lo=lo, hi=hi, result=result),
+        ShardRecord(options_digest=options.digest(), lo=lo, hi=hi, result=result),
     )
 
 
@@ -499,33 +257,30 @@ class _ShardState:
 
 
 class CampaignRuntime:
-    """Partition a campaign across shard workers and merge their banks.
+    """Partition *campaign* across shard workers and merge into its bank.
 
-    ``run()`` returns the same result type the underlying campaign's
+    The supervisor only sizes, labels, and digests the campaign; each
+    shard worker builds its own campaign of the same type from the same
+    options.  ``run()`` returns the same result type the campaign's
     serial ``run()`` would; recovery accounting lands in :attr:`stats`
     and poison seeds in :attr:`quarantine`.
     """
 
     def __init__(
         self,
-        adapter,
-        bank,
+        campaign: Campaign,
         root: str,
         shards: int,
         policy: ShardPolicy | None = None,
         fault_plan: ShardFaultPlan | None = None,
         stats: EngineStats | None = None,
-        db=None,
     ) -> None:
         if shards < 1:
             raise EngineConfigError(f"shards must be >= 1, got {shards}")
-        self.adapter = adapter
-        self.bank = bank
+        self.campaign = campaign
+        self.digest = campaign.options.digest()
         self.root = root
         self.shards = shards
-        #: Optional shared :class:`~repro.db.CorpusDB` consulted at merge
-        #: time for cross-shard/cross-campaign class dedupe.
-        self.db = db
         self.policy = policy if policy is not None else ShardPolicy()
         self.fault_plan = fault_plan
         self.stats = stats if stats is not None else EngineStats()
@@ -552,8 +307,8 @@ class CampaignRuntime:
 
     def _load_or_create_plan(self) -> None:
         """Adopt the durable shard plan, refusing incompatible reuse."""
-        total = self.adapter.total()
-        digest = self.adapter.digest()
+        total = self.campaign.total()
+        digest = self.digest
         path = self._shards_path()
         if os.path.exists(path):
             try:
@@ -631,7 +386,7 @@ class CampaignRuntime:
             return
         entry = QuarantineEntry(
             seq=offset,
-            label=self.adapter.label(offset),
+            label=self.campaign.label(offset),
             attempts=self._attempts.get(offset, 0),
             reason=reason,
         )
@@ -651,7 +406,7 @@ class CampaignRuntime:
             record = read_record(path, SHARD_MAGIC, ShardRecord)
         except CheckpointError:
             return None
-        if record.options_digest != self.adapter.digest():
+        if record.options_digest != self.digest:
             return None
         if (record.lo, record.hi) != self._ranges[index]:
             return None
@@ -719,7 +474,8 @@ class CampaignRuntime:
         process = context.Process(
             target=_shard_worker,
             args=(
-                self.adapter,
+                type(self.campaign),
+                self.campaign.options,
                 lo,
                 hi,
                 frozenset(self._skip),
@@ -815,7 +571,8 @@ class CampaignRuntime:
         self.stats.record_shard_adoption()
         lo, hi = self._ranges[index]
         _shard_worker(
-            self.adapter,
+            type(self.campaign),
+            self.campaign.options,
             lo,
             hi,
             frozenset(self._skip),
@@ -838,6 +595,6 @@ class CampaignRuntime:
                     f"shard {index} finished without a valid result record"
                 )
             payloads.append(
-                (record, os.path.join(self._shard_dir(index), SHARD_BANK_DIR))
+                (record.result, os.path.join(self._shard_dir(index), SHARD_BANK_DIR))
             )
-        return self.adapter.merge(self.bank, payloads, db=self.db)
+        return merge_shards(self.campaign, payloads)

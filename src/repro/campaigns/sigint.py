@@ -3,15 +3,15 @@
 A Ctrl-C that lands mid-seed can tear state the campaign was about to
 checkpoint — the byte-input fuzzer already defers the signal to its
 iteration boundary and flushes before raising (ISSUE 5); this context
-manager gives the generative and sanval campaign loops the same
-behavior without each reimplementing the handler dance.
+manager gives the campaign kernel's seed loop and the shard supervisor
+the same behavior without each reimplementing the handler dance.
 
 Usage::
 
     with DeferredInterrupt(enabled=...) as intr:
         for offset in ...:
             if intr.pending:
-                self._save_checkpoint(processed_through, result)
+                save(done)
                 raise KeyboardInterrupt("campaign interrupted; checkpoint flushed")
             ...
 

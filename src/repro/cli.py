@@ -12,10 +12,8 @@ Commands:
 * ``analyze FILE``   — IR-level UB findings plus divergence triage;
 * ``precision``      — per-checker TP/FP/FN scoreboard vs the oracle;
 * ``bisect FILE``    — attribute a divergence to one pass application;
-* ``bank fsck DIR``  — salvage a corrupted corpus bank;
-* ``db stats DB``    — table counts of the shared corpus database;
-* ``db import``      — fold a bank into the corpus database;
-* ``db export``      — reconstitute a bank from the corpus database;
+* ``bank fsck DIR``  — salvage (and migrate) a corrupted corpus bank;
+* ``bank merge SRC DST`` — bank SRC's entries into DST, first claim wins;
 * ``impls``          — list the compiler implementations;
 * ``targets``        — print the Table 4 target inventory.
 """
@@ -39,15 +37,6 @@ from repro.core.report import make_report
 from repro.errors import ReproError
 from repro.fuzzing import CompDiffFuzzer, FuzzerOptions
 from repro.vm import run_binary
-
-
-def _open_db_arg(path: str | None):
-    """Open ``--db PATH`` as a :class:`~repro.db.CorpusDB`, or None."""
-    if path is None:
-        return None
-    from repro.db import CorpusDB
-
-    return CorpusDB(path)
 
 
 def _read_input(args: argparse.Namespace) -> bytes:
@@ -176,6 +165,40 @@ def _print_shard_summary(runtime) -> None:
         print(f"  quarantined offset {entry.seq} ({entry.label}): {entry.reason}")
 
 
+def _shard_args_ok(args: argparse.Namespace, checkpoint_dir: str | None) -> bool:
+    if args.shards > 1 and not checkpoint_dir:
+        print(
+            f"{args.command}: --shards needs --checkpoint-dir (shard state lives there)",
+            file=sys.stderr,
+        )
+        return False
+    return True
+
+
+def _run_campaign(campaign, args: argparse.Namespace, checkpoint_dir: str | None):
+    """Run *campaign* serially or under ``--shards``; (result, runtime)."""
+    if args.shards <= 1:
+        return campaign.run(), None
+    from repro.campaigns.runtime import CampaignRuntime
+
+    runtime = CampaignRuntime(
+        campaign, root=checkpoint_dir, shards=args.shards, policy=_shard_policy(args)
+    )
+    return runtime.run(), runtime
+
+
+def _interrupted(args: argparse.Namespace, checkpoint_dir: str | None) -> int:
+    if checkpoint_dir:
+        print(
+            f"interrupted: checkpoint in {checkpoint_dir}; continue with "
+            f"`repro {args.command} --resume {checkpoint_dir}` plus the original flags",
+            file=sys.stderr,
+        )
+    else:
+        print("interrupted (no --checkpoint-dir; progress lost)", file=sys.stderr)
+    return 130
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     """`repro generate`: a generative fuzzing campaign.
 
@@ -189,24 +212,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
     least one new repro (or found no divergence but completed), 1 when
     ``--min-banked`` was requested and not reached.
     """
-    from repro.generative import CorpusBank, GenerativeCampaign, GenerativeOptions
+    from repro.campaigns.bank import GENERATIVE, Bank
+    from repro.generative import GenerativeCampaign, GenerativeOptions
 
     checkpoint_dir = args.checkpoint_dir or args.resume
-    if args.shards > 1:
-        if not checkpoint_dir:
-            print(
-                "generate: --shards needs --checkpoint-dir "
-                "(shard state lives there)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.min_banked is not None:
-            print(
-                "generate: --min-banked is discovery-order-dependent and "
-                "incompatible with --shards",
-                file=sys.stderr,
-            )
-            return 2
+    if not _shard_args_ok(args, checkpoint_dir):
+        return 2
+    if args.shards > 1 and args.min_banked is not None:
+        print(
+            "generate: --min-banked is discovery-order-dependent and "
+            "incompatible with --shards",
+            file=sys.stderr,
+        )
+        return 2
     options = GenerativeOptions(
         seed=args.seed,
         budget=args.budget,
@@ -219,44 +237,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         workers=args.workers,
     )
-    bank = CorpusBank(args.corpus)
     try:
-        db = _open_db_arg(args.db)
+        bank = Bank(args.corpus, kind=GENERATIVE)
+        with GenerativeCampaign(options, bank) as campaign:
+            result, runtime = _run_campaign(campaign, args, checkpoint_dir)
+    except KeyboardInterrupt:
+        return _interrupted(args, checkpoint_dir)
     except ReproError as exc:
         print(f"generate: {exc}", file=sys.stderr)
         return 2
-    runtime = None
-    try:
-        if args.shards > 1:
-            from repro.campaigns.runtime import CampaignRuntime, GenerativeShardAdapter
-
-            runtime = CampaignRuntime(
-                GenerativeShardAdapter(options),
-                bank,
-                root=checkpoint_dir,
-                shards=args.shards,
-                policy=_shard_policy(args),
-                db=db,
-            )
-            result = runtime.run()
-        else:
-            with GenerativeCampaign(options, bank) as campaign:
-                result = campaign.run()
-            if db is not None:
-                db.import_corpus_bank(bank)
-    except KeyboardInterrupt:
-        if checkpoint_dir:
-            print(
-                f"interrupted: checkpoint in {checkpoint_dir}; continue with "
-                f"`repro generate --corpus {args.corpus} --resume {checkpoint_dir}`",
-                file=sys.stderr,
-            )
-        else:
-            print("interrupted (no --checkpoint-dir; progress lost)", file=sys.stderr)
-        return 130
-    finally:
-        if db is not None:
-            db.close()
     print(result.render())
     if runtime is not None:
         _print_shard_summary(runtime)
@@ -287,12 +276,8 @@ def cmd_sancheck(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.sanval import (
-        RELOCATION_KINDS,
-        FindingBank,
-        SancheckCampaign,
-        SancheckOptions,
-    )
+    from repro.campaigns.bank import SANCHECK, Bank
+    from repro.sanval import RELOCATION_KINDS, SancheckCampaign, SancheckOptions
     from repro.static_analysis import Baseline, to_sarif
 
     if not (args.fixtures or args.corpus or args.budget > 0):
@@ -309,11 +294,7 @@ def cmd_sancheck(args: argparse.Namespace) -> int:
             print(f"sancheck: unknown relocation(s) {','.join(unknown)}", file=sys.stderr)
             return 2
     checkpoint_dir = args.checkpoint_dir or args.resume
-    if args.shards > 1 and not checkpoint_dir:
-        print(
-            "sancheck: --shards needs --checkpoint-dir (shard state lives there)",
-            file=sys.stderr,
-        )
+    if not _shard_args_ok(args, checkpoint_dir):
         return 2
     options = SancheckOptions(
         fixtures=args.fixtures,
@@ -329,44 +310,15 @@ def cmd_sancheck(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         workers=args.workers,
     )
-    bank = FindingBank(args.bank) if args.bank else None
     try:
-        db = _open_db_arg(args.db)
+        bank = Bank(args.bank, kind=SANCHECK) if args.bank else None
+        with SancheckCampaign(options, bank) as campaign:
+            result, runtime = _run_campaign(campaign, args, checkpoint_dir)
+    except KeyboardInterrupt:
+        return _interrupted(args, checkpoint_dir)
     except ReproError as exc:
         print(f"sancheck: {exc}", file=sys.stderr)
         return 2
-    runtime = None
-    try:
-        if args.shards > 1:
-            from repro.campaigns.runtime import CampaignRuntime, SancheckShardAdapter
-
-            runtime = CampaignRuntime(
-                SancheckShardAdapter(options),
-                bank,
-                root=checkpoint_dir,
-                shards=args.shards,
-                policy=_shard_policy(args),
-                db=db,
-            )
-            result = runtime.run()
-        else:
-            with SancheckCampaign(options, bank=bank) as campaign:
-                result = campaign.run()
-            if db is not None and bank is not None:
-                db.import_finding_bank(bank)
-    except KeyboardInterrupt:
-        if checkpoint_dir:
-            print(
-                f"interrupted: checkpoint in {checkpoint_dir}; continue with "
-                f"`repro sancheck --resume {checkpoint_dir}` plus the original flags",
-                file=sys.stderr,
-            )
-        else:
-            print("interrupted (no --checkpoint-dir; progress lost)", file=sys.stderr)
-        return 130
-    finally:
-        if db is not None:
-            db.close()
 
     diagnostics = [d for v in result.findings() for d in v.reported]
     suppressed = 0
@@ -412,11 +364,9 @@ def cmd_bank_fsck(args: argparse.Namespace) -> int:
     keys, and orphaned program files into a ``corrupt/`` sidecar (with a
     ledger recording why), then rewrites the manifest over the
     survivors so the bank loads cleanly again (docs/ROBUSTNESS.md).
-    Exit 0 when the bank was already clean, 1 when something was
-    salvaged, 2 when the directory is not a bank at all.  With ``--db``
-    the (post-salvage) manifest is additionally cross-checked against
-    the shared corpus database: a bank referencing equivalence classes
-    the DB has never seen is refused with exit 2.
+    A version-1 manifest is migrated to version 2 on the way.  Exit 0
+    when the bank was already clean, 1 when something was salvaged, 2
+    when the directory is not a bank at all.
     """
     import json
 
@@ -424,11 +374,6 @@ def cmd_bank_fsck(args: argparse.Namespace) -> int:
 
     try:
         report = fsck_bank(args.dir, kind=args.kind)
-        if args.db is not None:
-            from repro.db import CorpusDB, verify_bank_against_db
-
-            with CorpusDB(args.db) as db:
-                verify_bank_against_db(args.dir, args.kind, db)
     except ReproError as exc:
         print(f"bank fsck: {exc}", file=sys.stderr)
         return 2
@@ -439,73 +384,31 @@ def cmd_bank_fsck(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _detect_bank_kind(root: str) -> str:
-    """Resolve ``--kind auto`` from a bank manifest's top-level shape."""
-    import json as _json
-    import pathlib
+def cmd_bank_merge(args: argparse.Namespace) -> int:
+    """`repro bank merge`: bank every entry of SRC into DST.
 
-    from repro.db import CLASS_GENERATIVE, CLASS_SANCHECK
-
-    manifest = pathlib.Path(root) / "manifest.json"
-    try:
-        data = _json.loads(manifest.read_text())
-    except (OSError, _json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot detect bank kind from {manifest}: {exc}") from exc
-    if "repros" in data:
-        return CLASS_GENERATIVE
-    if "findings" in data:
-        return CLASS_SANCHECK
-    raise ReproError(f"{manifest} is not a recognizable bank manifest")
-
-
-def cmd_db(args: argparse.Namespace) -> int:
-    """`repro db`: maintain the shared fingerprint-keyed corpus database.
-
-    ``stats`` prints per-table counts; ``import`` folds a bank directory
-    into the DB (first writer per equivalence class wins); ``export``
-    reconstitutes a bank directory from the classes the DB holds.  The
-    DB refuses to open when its ``.meta`` identity sidecar is missing,
-    corrupt, or pins a different schema version (exit 2).
+    Entries go through :meth:`~repro.campaigns.bank.Bank.add`, so a key
+    DST already holds keeps DST's entry (the first claim wins) and
+    rerunning the merge changes nothing.  DST is created if absent and
+    must hold the same kind as SRC.  Exit 0 on success, 2 when either
+    directory is not a loadable bank.
     """
-    import json
-
-    from repro.db import CLASS_GENERATIVE, CorpusDB
+    from repro.campaigns.bank import Bank
 
     try:
-        with CorpusDB(args.db) as db:
-            if args.db_command == "stats":
-                if args.json:
-                    print(json.dumps(db.stats(), indent=2, sort_keys=True))
-                else:
-                    print(db.render_stats())
-                return 0
-            kind = args.kind
-            if kind == "auto":
-                kind = _detect_bank_kind(args.dir)
-            if args.db_command == "import":
-                if kind == CLASS_GENERATIVE:
-                    from repro.generative import CorpusBank
-
-                    count = db.import_corpus_bank(CorpusBank(args.dir))
-                else:
-                    from repro.sanval import FindingBank
-
-                    count = db.import_finding_bank(FindingBank(args.dir))
-                print(f"imported {count} new {kind} class(es) from {args.dir}")
-            else:
-                if kind == CLASS_GENERATIVE:
-                    from repro.generative import CorpusBank
-
-                    count = db.export_corpus_bank(CorpusBank(args.dir))
-                else:
-                    from repro.sanval import FindingBank
-
-                    count = db.export_finding_bank(FindingBank(args.dir))
-                print(f"exported {count} new {kind} class(es) into {args.dir}")
-            return 0
+        source = Bank(args.src)
+        if source.kind is None:
+            raise ReproError(f"{args.src} is not a bank (no manifest)")
+        target = Bank(args.dst, kind=source.kind)
+        added = sum(target.add(record) for record in source)
     except ReproError as exc:
-        print(f"db {args.db_command}: {exc}", file=sys.stderr)
+        print(f"bank merge: {exc}", file=sys.stderr)
         return 2
+    print(
+        f"bank merge: {added} new {source.kind} entries from {args.src} into "
+        f"{args.dst} ({len(source) - added} already present, size {len(target)})"
+    )
+    return 0
 
 
 def cmd_localize(args: argparse.Namespace) -> int:
@@ -923,10 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--resume", default=None, metavar="DIR",
                           help="resume a killed campaign from its checkpoint "
                                "directory (pass the original flags)")
-    generate.add_argument("--db", default=None, metavar="FILE",
-                          help="shared corpus database; banked repros are "
-                               "registered by fingerprint and classes another "
-                               "campaign already claimed are skipped")
     _add_shard_flags(generate)
     _add_input_flags(generate)
     generate.set_defaults(func=cmd_generate)
@@ -974,10 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
     sancheck.add_argument("--resume", default=None, metavar="DIR",
                           help="resume a killed campaign from its checkpoint "
                                "directory (pass the original flags)")
-    sancheck.add_argument("--db", default=None, metavar="FILE",
-                          help="shared corpus database; banked findings are "
-                               "registered by fingerprint and classes another "
-                               "campaign already claimed are skipped")
     _add_shard_flags(sancheck)
     _add_input_flags(sancheck)
     sancheck.set_defaults(func=cmd_sancheck)
@@ -1059,7 +954,8 @@ def build_parser() -> argparse.ArgumentParser:
     bank = sub.add_parser("bank", help="corpus bank maintenance")
     bank_sub = bank.add_subparsers(dest="bank_command", required=True)
     fsck = bank_sub.add_parser(
-        "fsck", help="salvage a corrupted bank into a corrupt/ sidecar"
+        "fsck", help="salvage a corrupted bank into a corrupt/ sidecar; "
+                     "migrate a version-1 manifest"
     )
     fsck.add_argument("dir", help="bank directory to salvage")
     fsck.add_argument("--kind", default="auto",
@@ -1068,36 +964,14 @@ def build_parser() -> argparse.ArgumentParser:
                            "to detect it from")
     fsck.add_argument("--json", action="store_true",
                       help="print the salvage report as JSON")
-    fsck.add_argument("--db", default=None, metavar="FILE",
-                      help="refuse (exit 2) when the manifest references "
-                           "classes this corpus database does not contain")
     fsck.set_defaults(func=cmd_bank_fsck)
 
-    db = sub.add_parser("db", help="shared corpus database maintenance")
-    db_sub = db.add_subparsers(dest="db_command", required=True)
-    db_stats = db_sub.add_parser("stats", help="per-table counts")
-    db_stats.add_argument("db", help="corpus database file")
-    db_stats.add_argument("--json", action="store_true",
-                          help="print the counts as JSON")
-    db_stats.set_defaults(func=cmd_db)
-    db_import = db_sub.add_parser(
-        "import", help="fold a bank directory into the database"
+    merge = bank_sub.add_parser(
+        "merge", help="bank a bank's entries into another (first claim wins)"
     )
-    db_import.add_argument("db", help="corpus database file (created if absent)")
-    db_import.add_argument("dir", help="bank directory to import")
-    db_import.add_argument("--kind", default="auto",
-                           choices=("auto", "generative", "sancheck"),
-                           help="bank kind (default: detect from the manifest)")
-    db_import.set_defaults(func=cmd_db)
-    db_export = db_sub.add_parser(
-        "export", help="reconstitute a bank directory from the database"
-    )
-    db_export.add_argument("db", help="corpus database file")
-    db_export.add_argument("dir", help="bank directory to write into")
-    db_export.add_argument("--kind", required=True,
-                           choices=("generative", "sancheck"),
-                           help="which class kind to export")
-    db_export.set_defaults(func=cmd_db)
+    merge.add_argument("src", help="bank directory to read")
+    merge.add_argument("dst", help="bank directory to extend (created if absent)")
+    merge.set_defaults(func=cmd_bank_merge)
 
     impls = sub.add_parser("impls", help="list compiler implementations")
     impls.add_argument("--pipelines", action="store_true",

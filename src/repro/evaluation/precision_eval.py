@@ -198,8 +198,8 @@ def precision_corpus(
 ) -> list:
     """The scored corpus: seeded standard suite + interproc extension.
 
-    *corpus* (a :class:`~repro.generative.bank.CorpusBank` or a corpus
-    directory path) appends the banked generative repros: each reduced
+    *corpus* (a generative :class:`~repro.campaigns.bank.Bank` or a
+    corpus directory path) appends the banked generative repros: each reduced
     divergent program scores as a bad variant whose divergence the
     engine re-confirms, with its stabilized twin as the good variant.
     Repros banked with group ``unclassified`` (no surviving diagnostic)
@@ -209,10 +209,10 @@ def precision_corpus(
         per_shape=per_shape
     )
     if corpus is not None:
-        from repro.generative.bank import CorpusBank
+        from repro.campaigns.bank import GENERATIVE, Bank
 
-        bank = corpus if isinstance(corpus, CorpusBank) else CorpusBank(corpus)
-        cases += bank.test_cases()
+        bank = corpus if isinstance(corpus, Bank) else Bank(corpus, kind=GENERATIVE)
+        cases += [repro.test_case() for repro in bank]
     return cases
 
 

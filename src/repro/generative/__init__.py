@@ -12,12 +12,12 @@ live:
 * :mod:`repro.generative.reducer` — an AST-level delta-debugging
   reducer with pluggable interestingness predicates ("still diverges",
   "same culprit pass", "same diagnostic fingerprint");
-* :mod:`repro.generative.bank` — the versioned on-disk repro corpus,
-  deduped by diagnostic fingerprint + culprit pass, consumable by the
-  precision scoreboard (``repro precision --corpus``);
+* :mod:`repro.generative.bank` — the banked repro record, deduped by
+  checker set + culprit pass + implementation partition, consumable by
+  the precision scoreboard (``repro precision --corpus``);
 * :mod:`repro.generative.campaign` — the generate→diff→reduce→bank
-  driver behind ``repro generate``, with checkpoint/resume and fault
-  tolerance riding on the supervised pool.
+  step behind ``repro generate``, driven by the campaign kernel
+  (:mod:`repro.campaigns.kernel`).
 
 See docs/GENERATIVE.md for the grammar, predicates, and corpus format.
 """

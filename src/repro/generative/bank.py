@@ -1,47 +1,36 @@
-"""The repro corpus bank: versioned, deduped storage for reduced repros.
+"""Generative repros as bank records: a reduced divergent program and its twin.
 
 A campaign's end product is not a log line — it is a *corpus*: the set
-of minimal, still-divergent programs it discovered, banked on disk so
-later runs extend it and the precision scoreboard can score the oracle
-against found-in-the-wild instabilities, not just planted Juliet flaws.
+of minimal, still-divergent programs it discovered, banked on disk (a
+:class:`~repro.campaigns.bank.Bank`) so later runs extend it and the
+precision scoreboard can score the oracle against found-in-the-wild
+instabilities, not just planted Juliet flaws.  Each entry stores two
+programs::
 
-On-disk layout (``<root>/``)::
-
-    manifest.json        # BANK_SCHEMA_VERSION + one record per repro
-    programs/<key>.c     # reduced divergent program
+    programs/<key>.c       # reduced divergent program
     programs/<key>.good.c  # its stabilized, non-divergent twin
 
-Dedupe is by **equivalence class**, not source text: the corpus key
-hashes the fired checker set, the culprit pass (``"baseline"`` when the
-divergence predates the pass schedule), and the canonical implementation
+Dedupe is by **equivalence class**, not source text: the key hashes the
+fired checker set, the culprit pass (``"baseline"`` when the divergence
+predates the pass schedule), and the canonical implementation
 partition.  Two seeds that reduce to the same *kind* of instability —
 same diagnostics, same attribution, same implementations disagreeing —
 bank once.  Exact diagnostic fingerprints stay in the metadata for
 drill-down.
-
-Manifest and program writes are atomic *and durable* (tmp + fsync +
-``os.replace`` + directory fsync via :mod:`repro.persist`), so a
-campaign killed mid-bank leaves the previous corpus intact; program
-files are written before the manifest references them.  A bank that was
-corrupted anyway (bit rot, a partial copy) is salvaged by
-``repro bank fsck`` (:mod:`repro.campaigns.fsck`) rather than repaired
-here: loading stays strict so corruption is never silently absorbed.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from repro.errors import ReproError
+from repro.campaigns.bank import (
+    GENERATIVE,
+    Bank,
+    BankRecord,
+    class_key,
+    partition_signature,
+)
 from repro.juliet.generator import TestCase
-from repro.persist import atomic_write_json, atomic_write_text
-
-#: Manifest format version; bump on incompatible layout changes.
-BANK_SCHEMA_VERSION = 1
 
 #: Bisect attribution recorded when divergence predates the pass
 #: schedule (front-end/layout difference, ``repro bisect`` status
@@ -74,23 +63,13 @@ def classify_group(categories: set[str]) -> str:
     return UNCLASSIFIED_GROUP
 
 
-def corpus_key(
-    checkers: set[str] | frozenset[str],
-    culprit: str,
-    partition: tuple[tuple[str, ...], ...],
-) -> str:
-    """Dedupe key of a repro's equivalence class (16 hex chars)."""
-    checker_sig = ",".join(sorted(checkers))
-    partition_sig = ";".join(",".join(group) for group in partition)
-    blob = f"{checker_sig}#{culprit}#{partition_sig}"
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 @dataclass
-class BankedRepro:
+class BankedRepro(BankRecord):
     """One banked equivalence class: sources, attribution, provenance."""
 
-    key: str
+    KIND = GENERATIVE
+    PROGRAMS = {"source": ".c", "good_source": ".good.c"}
+
     #: Generator provenance (seed regenerates the unreduced original).
     seed: int
     profile: str
@@ -122,53 +101,13 @@ class BankedRepro:
     reduction_steps: int = 0
     reduction_tests: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "seed": self.seed,
-            "profile": self.profile,
-            "generator_version": self.generator_version,
-            "ub_shapes": list(self.ub_shapes),
-            "inputs_hex": [i.hex() for i in self.inputs],
-            "checkers": list(self.checkers),
-            "fingerprints": list(self.fingerprints),
-            "group": self.group,
-            "partition": [list(group) for group in self.partition],
-            "impl_ref": self.impl_ref,
-            "impl_target": self.impl_target,
-            "culprit_original": self.culprit_original,
-            "culprit_reduced": self.culprit_reduced,
-            "culprit_drifted": self.culprit_drifted,
-            "original_nodes": self.original_nodes,
-            "reduced_nodes": self.reduced_nodes,
-            "reduction_steps": self.reduction_steps,
-            "reduction_tests": self.reduction_tests,
-        }
-
-    @staticmethod
-    def from_json(data: dict, source: str, good_source: str) -> "BankedRepro":
-        return BankedRepro(
-            key=data["key"],
-            seed=data["seed"],
-            profile=data["profile"],
-            generator_version=data["generator_version"],
-            ub_shapes=tuple(data["ub_shapes"]),
-            source=source,
-            good_source=good_source,
-            inputs=[bytes.fromhex(i) for i in data["inputs_hex"]],
-            checkers=tuple(data["checkers"]),
-            fingerprints=tuple(data["fingerprints"]),
-            group=data["group"],
-            partition=tuple(tuple(group) for group in data["partition"]),
-            impl_ref=data["impl_ref"],
-            impl_target=data["impl_target"],
-            culprit_original=data["culprit_original"],
-            culprit_reduced=data["culprit_reduced"],
-            culprit_drifted=data["culprit_drifted"],
-            original_nodes=data["original_nodes"],
-            reduced_nodes=data["reduced_nodes"],
-            reduction_steps=data["reduction_steps"],
-            reduction_tests=data["reduction_tests"],
+    @property
+    def key(self) -> str:
+        """Dedupe key: checker set, original culprit, implementation partition."""
+        return class_key(
+            ",".join(sorted(self.checkers)),
+            self.culprit_original,
+            partition_signature(self.partition),
         )
 
     def test_case(self) -> TestCase:
@@ -190,112 +129,5 @@ class BankedRepro:
         )
 
 
-class CorpusBank:
-    """A corpus directory: load, dedupe, append, persist.
-
-    The bank is append-only from the campaign's point of view; ``add``
-    returns False (and stores nothing) for a key that is already banked,
-    which is what makes checkpoint-resumed and fault-injected campaigns
-    converge on the same corpus instead of double-banking.
-    """
-
-    MANIFEST = "manifest.json"
-    PROGRAMS_DIR = "programs"
-
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
-        self._repros: dict[str, BankedRepro] = {}
-        if self.manifest_path.exists():
-            self._load()
-
-    # --------------------------------------------------------------- queries
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / self.MANIFEST
-
-    @property
-    def programs_dir(self) -> Path:
-        return self.root / self.PROGRAMS_DIR
-
-    def __len__(self) -> int:
-        return len(self._repros)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._repros
-
-    def __iter__(self):
-        return iter(self.repros())
-
-    def repros(self) -> list[BankedRepro]:
-        """All banked repros, in key order (stable across runs)."""
-        return [self._repros[key] for key in sorted(self._repros)]
-
-    def keys(self) -> list[str]:
-        return sorted(self._repros)
-
-    def get(self, key: str) -> BankedRepro | None:
-        return self._repros.get(key)
-
-    def test_cases(self) -> list[TestCase]:
-        """The whole corpus as precision-scoreboard cases, key order."""
-        return [repro.test_case() for repro in self.repros()]
-
-    # ------------------------------------------------------------ mutation
-
-    def add(self, repro: BankedRepro) -> bool:
-        """Bank *repro* unless its class is already present.
-
-        Program files land before the manifest references them, and the
-        manifest write is atomic — a kill mid-add leaves a corpus that
-        loads cleanly (at worst with orphaned program files).
-        """
-        if repro.key in self._repros:
-            return False
-        self.programs_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(self._source_path(repro.key), repro.source)
-        atomic_write_text(self._good_path(repro.key), repro.good_source)
-        self._repros[repro.key] = repro
-        self._write_manifest()
-        return True
-
-    # ------------------------------------------------------------ internals
-
-    def _source_path(self, key: str) -> Path:
-        return self.programs_dir / f"{key}.c"
-
-    def _good_path(self, key: str) -> Path:
-        return self.programs_dir / f"{key}.good.c"
-
-    def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": BANK_SCHEMA_VERSION,
-            "repros": [self._repros[key].to_json() for key in sorted(self._repros)],
-        }
-        atomic_write_json(self.manifest_path, payload)
-
-    def _load(self) -> None:
-        try:
-            data = json.loads(self.manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(
-                f"corpus manifest {self.manifest_path} is unreadable: {exc} "
-                f"(salvage with `repro bank fsck {self.root}`)"
-            ) from exc
-        if data.get("version") != BANK_SCHEMA_VERSION:
-            raise ReproError(
-                f"corpus manifest version {data.get('version')!r}; "
-                f"expected {BANK_SCHEMA_VERSION}"
-            )
-        for record in data["repros"]:
-            key = record["key"]
-            try:
-                source = self._source_path(key).read_text()
-                good = self._good_path(key).read_text()
-            except OSError as exc:
-                raise ReproError(
-                    f"corpus program for banked repro {key} is missing: {exc} "
-                    f"(salvage with `repro bank fsck {self.root}`)"
-                ) from exc
-            self._repros[key] = BankedRepro.from_json(record, source, good)
+#: A generative corpus is a :class:`Bank`; the name stays for its callers.
+CorpusBank = Bank

@@ -11,9 +11,9 @@ One campaign walks a contiguous seed range through the full pipeline:
    predicate, so the reduced repro exhibits the same implementation
    partition as the original, not a cheaper unrelated one;
 4. **bank** — the reduced repro, its stabilized twin, its UB-oracle
-   diagnostics, and its pass attribution land in the
-   :class:`~repro.generative.bank.CorpusBank`, deduped by equivalence
-   class.
+   diagnostics, and its pass attribution land in the bank as a
+   :class:`~repro.generative.bank.BankedRepro`, deduped by equivalence
+   class; the twin is searched for only when the class is new.
 
 Attribution is bisected twice — once on the original program, once on
 the reduced one, against the *same pinned implementation pair* — and
@@ -22,32 +22,20 @@ metadata rather than papered over: reduction preserves the divergence
 verdict by construction, but pass attribution is a property of the
 whole program and may legitimately move (docs/GENERATIVE.md).
 
-Campaigns are resumable: progress checkpoints ride the same atomic
-magic+CRC+pickle record as the byte-input fuzzer
-(:mod:`repro.persist`), and the bank's keyed dedupe makes replaying the
-seeds between the last checkpoint and a crash idempotent — a resumed
-campaign converges on the same corpus as an uninterrupted one.
+The seed loop, checkpoint/resume, and banking are the campaign kernel's
+(:mod:`repro.campaigns.kernel`); this module is the per-seed step.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
 
-from repro.campaigns.sigint import DeferredInterrupt
+from repro.campaigns.kernel import Campaign, CampaignResult
 from repro.core.bisect import bisect_divergence, choose_bisection_pair
-from repro.core.compdiff import CompDiff, DiffResult
+from repro.core.compdiff import DiffResult
 from repro.core.triage import signature_of
-from repro.errors import CheckpointError
-from repro.generative.bank import (
-    BASELINE_CULPRIT,
-    BankedRepro,
-    CorpusBank,
-    classify_group,
-    corpus_key,
-)
+from repro.generative.bank import BASELINE_CULPRIT, BankedRepro, classify_group
 from repro.generative.generator import GENERATOR_VERSION, generate_program
 from repro.generative.reducer import (
     DEFAULT_STEP_BUDGET,
@@ -57,14 +45,8 @@ from repro.generative.reducer import (
     single_step_variants,
 )
 from repro.minic import count_nodes, load
-from repro.persist import read_record, write_record
 from repro.static_analysis.diagnostics import to_diagnostics
 from repro.static_analysis.ub_oracle import CHECKER_CATEGORY, UBOracle
-
-#: Checkpoint record magic (distinct from the fuzzer's ``RPRCKPT1``).
-MAGIC = b"RPRGENC1"
-#: Checkpoint file name inside the checkpoint directory.
-CHECKPOINT_FILE = "generate.ckpt"
 
 #: Good twin of last resort when no single-step stabilization of the
 #: reduced repro is both non-divergent and oracle-clean.
@@ -114,39 +96,19 @@ class GenerativeOptions:
 
 
 @dataclass
-class GenerativeCheckpoint:
-    """Campaign progress at a seed boundary."""
-
-    options_digest: str
-    #: Seeds ``seed .. seed+offset-1`` are fully processed and banked.
-    offset: int
-    generated: int
-    divergent: int
-    banked_new: int
-    duplicates: int
-    drifted: int
-    keys: list[str] = field(default_factory=list)
-
-
-@dataclass
-class GenerativeResult:
+class GenerativeResult(CampaignResult):
     """Outcome of one campaign run."""
+
+    BANKING = CampaignResult.BANKING + ("drifted",)
 
     generated: int = 0
     divergent: int = 0
-    #: Repros newly banked by this run.
-    banked_new: int = 0
-    #: Divergent seeds whose equivalence class was already banked.
-    duplicates: int = 0
-    #: Banked repros whose reduced form attributes to a different pass.
+    #: Newly banked repros whose reduced form attributes to a different pass.
     drifted: int = 0
-    #: Corpus keys produced by this run's seeds (banked or duplicate),
-    #: in discovery order.
-    keys: list[str] = field(default_factory=list)
-    #: Bank size after the run.
-    corpus_size: int = 0
-    #: Seed offset this run resumed from (None = fresh start).
-    resumed_at: int | None = None
+
+    def banked(self, record: BankedRepro) -> None:
+        super().banked(record)
+        self.drifted += int(record.culprit_drifted)
 
     def render(self) -> str:
         lines = [
@@ -154,119 +116,37 @@ class GenerativeResult:
             f"{self.divergent} divergent, {self.banked_new} newly banked "
             f"({self.duplicates} duplicate classes, {self.drifted} with "
             f"culprit drift)",
-            f"corpus size: {self.corpus_size}",
+            f"corpus size: {self.bank_size}",
         ]
         if self.resumed_at is not None:
             lines.append(f"resumed at seed offset {self.resumed_at}")
         return "\n".join(lines)
 
 
-class GenerativeCampaign:
-    """Drives one seed range through generate→diff→reduce→bank.
+class GenerativeCampaign(Campaign):
+    """The generate→diff→reduce→bank step, one generator seed per offset."""
 
-    ``seed_slice`` restricts the walk to global offsets ``[start, stop)``
-    of the budget — the hook the sharded runtime
-    (:mod:`repro.campaigns.runtime`) partitions a campaign with; the
-    default covers the whole budget.  ``skip_offsets`` are quarantined
-    poison seeds: they still advance the checkpoint but are never
-    processed.  ``progress`` is called with each global offset at the
-    seed boundary *before* that seed runs (shard workers hang their
-    heartbeat and fault injection on it).  ``interruptible`` controls
-    deferred-SIGINT handling; shard workers disable it so the supervisor
-    owns interrupt semantics.
-    """
+    kind = BankedRepro.KIND
+    result_type = GenerativeResult
 
-    def __init__(
-        self,
-        options: GenerativeOptions,
-        bank: CorpusBank,
-        engine: CompDiff | None = None,
-        policy=None,
-        fault_plan=None,
-        seed_slice: tuple[int, int] | None = None,
-        skip_offsets: frozenset[int] = frozenset(),
-        progress: Optional[Callable[[int], None]] = None,
-        interruptible: bool = True,
-    ) -> None:
-        self.options = options
-        self.bank = bank
-        self.seed_slice = seed_slice
-        self.skip_offsets = frozenset(skip_offsets)
-        self.progress = progress
-        self.interruptible = interruptible
-        self._owns_engine = engine is None
-        if engine is None:
-            engine = CompDiff(
-                workers=options.workers, policy=policy, fault_plan=fault_plan
-            )
-        self.engine = engine
+    def __init__(self, options: GenerativeOptions, bank, engine=None,
+                 policy=None, fault_plan=None) -> None:
+        super().__init__(options, bank, engine, policy, fault_plan)
         self.oracle = UBOracle(mode="interproc")
         self._intra_oracle = UBOracle(mode="intra")
 
-    def __enter__(self) -> "GenerativeCampaign":
-        return self
+    def total(self) -> int:
+        return self.options.budget
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def label(self, offset: int) -> str:
+        return f"gen-{self.options.profile}-{self.options.seed + offset}"
 
-    def close(self) -> None:
-        """Shut down the engine's worker pool if this campaign owns it."""
-        if self._owns_engine:
-            self.engine.close()
-
-    # ------------------------------------------------------------- campaign
-
-    def run(self) -> GenerativeResult:
+    def step(self, offset: int, result: GenerativeResult):
         options = self.options
-        lo, hi = self.seed_slice if self.seed_slice is not None else (0, options.budget)
-        result = GenerativeResult()
-        start = lo
-        checkpoint = self._load_checkpoint()
-        if checkpoint is not None:
-            start = max(lo, checkpoint.offset)
-            result.generated = checkpoint.generated
-            result.divergent = checkpoint.divergent
-            result.banked_new = checkpoint.banked_new
-            result.duplicates = checkpoint.duplicates
-            result.drifted = checkpoint.drifted
-            result.keys = list(checkpoint.keys)
-            result.resumed_at = start
-        processed_through = start
-        with DeferredInterrupt(enabled=self.interruptible) as intr:
-            for offset in range(start, hi):
-                if intr.pending:
-                    if options.checkpoint_dir is not None:
-                        self._save_checkpoint(processed_through, result)
-                    raise KeyboardInterrupt(
-                        "campaign interrupted; checkpoint flushed"
-                    )
-                if (
-                    options.min_banked is not None
-                    and result.banked_new >= options.min_banked
-                ):
-                    break
-                if self.progress is not None:
-                    self.progress(offset)
-                if offset not in self.skip_offsets:
-                    self._process(options.seed + offset, result)
-                processed_through = offset + 1
-                if (
-                    options.checkpoint_dir is not None
-                    and (offset + 1 - start) % options.checkpoint_every == 0
-                ):
-                    self._save_checkpoint(processed_through, result)
-        if options.checkpoint_dir is not None:
-            self._save_checkpoint(processed_through, result)
-        result.corpus_size = len(self.bank)
-        return result
-
-    # ------------------------------------------------------------- one seed
-
-    def _process(self, seed: int, result: GenerativeResult) -> None:
-        options = self.options
+        seed = options.seed + offset
         generated = generate_program(seed, options.profile)
         result.generated += 1
-        name = f"gen-{options.profile}-{seed}"
+        name = self.label(offset)
         outcome = self.engine.check_source(generated.source, options.inputs, name=name)
         if not outcome.divergent:
             return
@@ -305,19 +185,13 @@ class GenerativeCampaign:
         diagnostics = to_diagnostics(self.oracle.report(load(source), name=name).findings)
         checkers = {d.checker for d in diagnostics}
         categories = {CHECKER_CATEGORY.get(c, "Misc") for c in checkers}
-        key = corpus_key(checkers, culprit_original, signature.partition)
-        result.keys.append(key)
-        if key in self.bank:
-            result.duplicates += 1
-            return
         repro = BankedRepro(
-            key=key,
             seed=seed,
             profile=options.profile,
             generator_version=generated.generator_version,
             ub_shapes=generated.ub_shapes,
             source=source,
-            good_source=self._stabilize(source, name),
+            good_source="",
             inputs=list(options.inputs),
             checkers=tuple(sorted(checkers)),
             fingerprints=tuple(sorted(d.fingerprint for d in diagnostics)),
@@ -333,12 +207,9 @@ class GenerativeCampaign:
             reduction_steps=steps,
             reduction_tests=tests,
         )
-        if self.bank.add(repro):
-            result.banked_new += 1
-            if repro.culprit_drifted:
-                result.drifted += 1
-        else:  # pragma: no cover - key checked above
-            result.duplicates += 1
+        # The twin is not part of the class key: search for it only when
+        # the class is new to the bank.
+        yield repro.key, lambda: replace(repro, good_source=self._stabilize(source, name))
 
     def _attribute(
         self,
@@ -386,40 +257,3 @@ class GenerativeCampaign:
                 continue
             return candidate
         return FALLBACK_GOOD
-
-    # ---------------------------------------------------------- checkpoints
-
-    def _checkpoint_path(self) -> str:
-        assert self.options.checkpoint_dir is not None
-        return os.path.join(self.options.checkpoint_dir, CHECKPOINT_FILE)
-
-    def _save_checkpoint(self, offset: int, result: GenerativeResult) -> None:
-        write_record(
-            self._checkpoint_path(),
-            MAGIC,
-            GenerativeCheckpoint(
-                options_digest=self.options.digest(),
-                offset=offset,
-                generated=result.generated,
-                divergent=result.divergent,
-                banked_new=result.banked_new,
-                duplicates=result.duplicates,
-                drifted=result.drifted,
-                keys=list(result.keys),
-            ),
-        )
-
-    def _load_checkpoint(self) -> GenerativeCheckpoint | None:
-        if self.options.checkpoint_dir is None:
-            return None
-        path = self._checkpoint_path()
-        if not os.path.exists(path):
-            return None
-        checkpoint = read_record(path, MAGIC, GenerativeCheckpoint)
-        if checkpoint.options_digest != self.options.digest():
-            raise CheckpointError(
-                "generative checkpoint was written with different campaign "
-                "options; refusing to resume (move or delete "
-                f"{path!r} to start fresh)"
-            )
-        return checkpoint

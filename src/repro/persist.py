@@ -10,8 +10,9 @@ new one under the final name, never a torn hybrid.
 
 On top of that, :func:`write_record`/:func:`read_record` define the
 record shape every campaign checkpoint shares (the byte-input fuzzer in
-:mod:`repro.fuzzing.checkpoint`, the generative campaign, the sanval
-campaign, and the sharded runtime in :mod:`repro.campaigns.runtime`)::
+:mod:`repro.fuzzing.checkpoint`, the campaign kernel in
+:mod:`repro.campaigns.kernel`, and the sharded runtime in
+:mod:`repro.campaigns.runtime`)::
 
     8 bytes   format magic (per record type)
     4 bytes   CRC32 (big-endian) over the payload

@@ -10,7 +10,7 @@ ten-implementation differential verdict.  Confirmed sanitizer misses
 full evidence chains.  Entry point: ``repro sancheck``.
 """
 
-from repro.sanval.bank import BankedFinding, FindingBank, finding_key
+from repro.sanval.bank import BankedFinding
 from repro.sanval.campaign import (
     SancheckCampaign,
     SancheckOptions,
@@ -43,7 +43,6 @@ from repro.sanval.verdict import (
 
 __all__ = [
     "BankedFinding",
-    "FindingBank",
     "FN",
     "FP",
     "GroundTruth",
@@ -63,7 +62,6 @@ __all__ = [
     "VerdictEngine",
     "corpus_seeds",
     "expected_kinds",
-    "finding_key",
     "fixture_seeds",
     "generator_seeds",
     "relocate",

@@ -1,10 +1,8 @@
-"""Finding bank for confirmed sanitizer FNs/FPs: reduced, deduped, on disk.
+"""Confirmed sanitizer FNs/FPs as bank records: evidence chain + reduced repro.
 
-Mirrors the generative :class:`~repro.generative.bank.CorpusBank` layout
-so tooling can treat both the same way::
-
-    manifest.json        # SANVAL_BANK_VERSION + one record per finding
-    programs/<key>.c     # reduced program that exhibits the FN/FP
+Banked into a :class:`~repro.campaigns.bank.Bank` of kind
+``sancheck``; each entry stores one program, ``programs/<key>.c``, the
+reduced program that exhibits the FN/FP.
 
 Dedupe is by *evidence class*, not source text: the key hashes the
 sanitizer, the outcome, the report kinds involved, the oracle checkers
@@ -13,57 +11,22 @@ miss rediscovered through a different relocation of the same seed (same
 function, same oracle fingerprint) banks once; a miss that moved into a
 different function (distinct fingerprint) is new evidence and banks
 separately.
-
-Manifest and program writes are atomic and durable (tmp + fsync +
-``os.replace`` + directory fsync via :mod:`repro.persist`) and program
-files land before the manifest references them, so a campaign killed
-mid-bank leaves a loadable bank behind.  Banks corrupted anyway are
-salvaged by ``repro bank fsck`` (:mod:`repro.campaigns.fsck`).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.errors import ReproError
-from repro.persist import atomic_write_json, atomic_write_text
-
-#: Manifest format version; bump on incompatible layout changes.
-SANVAL_BANK_VERSION = 1
-
-
-def finding_key(
-    sanitizer: str,
-    outcome: str,
-    kinds: tuple[str, ...],
-    checkers: tuple[str, ...],
-    fingerprints: tuple[str, ...],
-    partition: tuple[tuple[str, ...], ...],
-) -> str:
-    """Dedupe key of a finding's evidence class (16 hex chars)."""
-    partition_sig = ";".join(",".join(group) for group in partition)
-    blob = "#".join(
-        (
-            sanitizer,
-            outcome,
-            ",".join(sorted(kinds)),
-            ",".join(sorted(checkers)),
-            ",".join(sorted(fingerprints)),
-            partition_sig,
-        )
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+from repro.campaigns.bank import SANCHECK, BankRecord, class_key, partition_signature
 
 
 @dataclass
-class BankedFinding:
+class BankedFinding(BankRecord):
     """One banked sanitizer defect: evidence chain + reduced repro."""
 
-    key: str
+    KIND = SANCHECK
+    PROGRAMS = {"source": ".c"}
+
     sanitizer: str
     #: "FN" or "FP".
     outcome: str
@@ -87,135 +50,14 @@ class BankedFinding:
     reduction_steps: int = 0
     reduction_tests: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "sanitizer": self.sanitizer,
-            "outcome": self.outcome,
-            "seed": self.seed,
-            "variant": self.variant,
-            "kinds": list(self.kinds),
-            "checkers": list(self.checkers),
-            "oracle_fingerprints": list(self.oracle_fingerprints),
-            "partition": [list(group) for group in self.partition],
-            "impl_ref": self.impl_ref,
-            "impl_target": self.impl_target,
-            "inputs_hex": [i.hex() for i in self.inputs],
-            "original_nodes": self.original_nodes,
-            "reduced_nodes": self.reduced_nodes,
-            "reduction_steps": self.reduction_steps,
-            "reduction_tests": self.reduction_tests,
-        }
-
-    @staticmethod
-    def from_json(data: dict, source: str) -> "BankedFinding":
-        return BankedFinding(
-            key=data["key"],
-            sanitizer=data["sanitizer"],
-            outcome=data["outcome"],
-            seed=data["seed"],
-            variant=data["variant"],
-            kinds=tuple(data["kinds"]),
-            checkers=tuple(data["checkers"]),
-            oracle_fingerprints=tuple(data["oracle_fingerprints"]),
-            partition=tuple(tuple(group) for group in data["partition"]),
-            impl_ref=data["impl_ref"],
-            impl_target=data["impl_target"],
-            source=source,
-            inputs=[bytes.fromhex(i) for i in data["inputs_hex"]],
-            original_nodes=data["original_nodes"],
-            reduced_nodes=data["reduced_nodes"],
-            reduction_steps=data["reduction_steps"],
-            reduction_tests=data["reduction_tests"],
+    @property
+    def key(self) -> str:
+        """Dedupe key of the finding's evidence class."""
+        return class_key(
+            self.sanitizer,
+            self.outcome,
+            ",".join(sorted(self.kinds)),
+            ",".join(sorted(self.checkers)),
+            ",".join(sorted(self.oracle_fingerprints)),
+            partition_signature(self.partition),
         )
-
-
-class FindingBank:
-    """A sanval bank directory: load, dedupe, append, persist."""
-
-    MANIFEST = "manifest.json"
-    PROGRAMS_DIR = "programs"
-
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
-        self._findings: dict[str, BankedFinding] = {}
-        if self.manifest_path.exists():
-            self._load()
-
-    # --------------------------------------------------------------- queries
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / self.MANIFEST
-
-    @property
-    def programs_dir(self) -> Path:
-        return self.root / self.PROGRAMS_DIR
-
-    def __len__(self) -> int:
-        return len(self._findings)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._findings
-
-    def __iter__(self):
-        return iter(self.findings())
-
-    def findings(self) -> list[BankedFinding]:
-        """All banked findings, in key order (stable across runs)."""
-        return [self._findings[key] for key in sorted(self._findings)]
-
-    def keys(self) -> list[str]:
-        return sorted(self._findings)
-
-    def get(self, key: str) -> BankedFinding | None:
-        return self._findings.get(key)
-
-    # ------------------------------------------------------------ mutation
-
-    def add(self, finding: BankedFinding) -> bool:
-        """Bank *finding* unless its evidence class is already present."""
-        if finding.key in self._findings:
-            return False
-        self.programs_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(self._source_path(finding.key), finding.source)
-        self._findings[finding.key] = finding
-        self._write_manifest()
-        return True
-
-    # ------------------------------------------------------------ internals
-
-    def _source_path(self, key: str) -> Path:
-        return self.programs_dir / f"{key}.c"
-
-    def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": SANVAL_BANK_VERSION,
-            "findings": [self._findings[key].to_json() for key in sorted(self._findings)],
-        }
-        atomic_write_json(self.manifest_path, payload)
-
-    def _load(self) -> None:
-        try:
-            data = json.loads(self.manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(
-                f"sanval manifest {self.manifest_path} is unreadable: {exc} "
-                f"(salvage with `repro bank fsck {self.root}`)"
-            ) from exc
-        if data.get("version") != SANVAL_BANK_VERSION:
-            raise ReproError(
-                f"sanval manifest version {data.get('version')!r}; "
-                f"expected {SANVAL_BANK_VERSION}"
-            )
-        for record in data["findings"]:
-            key = record["key"]
-            try:
-                source = self._source_path(key).read_text()
-            except OSError as exc:
-                raise ReproError(
-                    f"sanval program for banked finding {key} is missing: {exc} "
-                    f"(salvage with `repro bank fsck {self.root}`)"
-                ) from exc
-            self._findings[key] = BankedFinding.from_json(record, source)

@@ -16,18 +16,17 @@ relocation × sanitizer classification:
    by the :class:`~repro.sanval.verdict.VerdictEngine` against the
    interprocedural oracle and the ten-implementation differential
    verdict.
-4. **bank** — every FN and FP is delta-debugged under its pinning
-   predicate (:class:`SanitizerStillSilent` / :class:`SanitizerStillFires`)
-   and banked into a :class:`~repro.sanval.bank.FindingBank`, deduped
-   by evidence class.
+4. **bank** — every FN and FP whose evidence class is new to the bank
+   is delta-debugged under its pinning predicate
+   (:class:`SanitizerStillSilent` / :class:`SanitizerStillFires`) and
+   banked as a :class:`~repro.sanval.bank.BankedFinding`.
 
 Determinism is a hard contract: the same options over the same seed
 sources produce byte-identical verdict lists and scoreboards at any
 worker count (the differential engine already guarantees byte-identical
-verdicts; everything above it is sequential and sorted).  Campaigns
-checkpoint at seed boundaries with the same atomic magic+CRC record as
-the fuzzer and the generative campaign, and refuse to resume under
-changed options.
+verdicts; everything above it is sequential and sorted).  The seed
+loop, checkpoint/resume, and banking are the campaign kernel's
+(:mod:`repro.campaigns.kernel`); this module is the per-seed step.
 """
 
 from __future__ import annotations
@@ -35,13 +34,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional
 
-from repro.campaigns.sigint import DeferredInterrupt
-from repro.core.compdiff import CompDiff
-from repro.errors import CheckpointError, ReproError
+from repro.campaigns.bank import GENERATIVE, Bank
+from repro.campaigns.kernel import Campaign, CampaignResult
+from repro.errors import ReproError
 from repro.generative.generator import generate_program
 from repro.generative.reducer import (
     DEFAULT_STEP_BUDGET,
@@ -50,8 +49,7 @@ from repro.generative.reducer import (
     single_step_variants,
 )
 from repro.minic import count_nodes, load
-from repro.persist import read_record, write_record
-from repro.sanval.bank import BankedFinding, FindingBank, finding_key
+from repro.sanval.bank import BankedFinding
 from repro.sanval.relocate import RELOCATION_KINDS, relocation_variants
 from repro.sanval.verdict import (
     FN,
@@ -64,11 +62,6 @@ from repro.sanval.verdict import (
     VerdictEngine,
 )
 from repro.static_analysis.ub_oracle import UBOracle
-
-#: Checkpoint record magic (distinct from fuzzer/generative campaigns).
-MAGIC = b"RPRSANC1"
-#: Checkpoint file name inside the checkpoint directory.
-CHECKPOINT_FILE = "sancheck.ckpt"
 
 #: Fixture-corpus manifest version.
 FIXTURES_VERSION = 1
@@ -142,24 +135,7 @@ class SancheckOptions:
 
 
 @dataclass
-class SancheckCheckpoint:
-    """Campaign progress at a seed boundary."""
-
-    options_digest: str
-    #: Seeds ``0 .. offset-1`` of the seed list are fully processed.
-    offset: int
-    seeds: int
-    variants: int
-    dropped: int
-    screened: int
-    skipped: int
-    banked_new: int
-    duplicates: int
-    verdicts: list[SanVerdict] = field(default_factory=list)
-
-
-@dataclass
-class SancheckResult:
+class SancheckResult(CampaignResult):
     """Outcome of one campaign run."""
 
     #: Seeds judged (bad side reached classification).
@@ -172,15 +148,7 @@ class SancheckResult:
     screened: int = 0
     #: Seeds skipped entirely (no oracle-confirmed UB on the bad side).
     skipped: int = 0
-    #: FN/FP findings newly banked by this run.
-    banked_new: int = 0
-    #: FN/FP findings whose evidence class was already banked.
-    duplicates: int = 0
     verdicts: list[SanVerdict] = field(default_factory=list)
-    #: Bank size after the run (0 when no bank attached).
-    bank_size: int = 0
-    #: Seed offset this run resumed from (None = fresh start).
-    resumed_at: int | None = None
 
     # ------------------------------------------------------------ scoreboard
 
@@ -296,10 +264,8 @@ def fixture_seeds(fixtures_dir: str | os.PathLike) -> list[SanSeed]:
 
 def corpus_seeds(corpus_dir: str | os.PathLike) -> list[SanSeed]:
     """The PR 6 generative corpus bank as campaign seeds, key order."""
-    from repro.generative.bank import CorpusBank
-
     seeds = []
-    for repro in CorpusBank(corpus_dir):
+    for repro in Bank(corpus_dir, kind=GENERATIVE):
         seeds.append(
             SanSeed(
                 label=f"corpus-{repro.key}",
@@ -329,138 +295,54 @@ def generator_seeds(
     return seeds
 
 
-def build_seeds(options: SancheckOptions) -> list[SanSeed]:
-    """The deterministic seed list *options* describes: fixtures, then
-    corpus bank, then fresh generator seeds.
-
-    Module-level (rather than only a campaign method) so the sharded
-    runtime can size and label the list without spinning up a campaign's
-    engine and oracle.
-    """
-    seeds: list[SanSeed] = []
-    if options.fixtures:
-        seeds.extend(fixture_seeds(options.fixtures))
-    if options.corpus:
-        seeds.extend(corpus_seeds(options.corpus))
-    if options.budget > 0:
-        seeds.extend(
-            generator_seeds(
-                options.seed, options.budget, options.profile, options.inputs
-            )
-        )
-    return seeds
-
-
-def seed_labels(options: SancheckOptions) -> list[str]:
-    """Labels of the seed list, in offset order (quarantine ledger keys)."""
-    return [seed.label for seed in build_seeds(options)]
-
-
 # --------------------------------------------------------------------------
 # Campaign
 # --------------------------------------------------------------------------
 
 
-class SancheckCampaign:
-    """Drives seed → relocate → judge → bank for ``repro sancheck``.
+class SancheckCampaign(Campaign):
+    """The seed → relocate → judge step behind ``repro sancheck``.
 
-    ``seed_slice``/``skip_offsets``/``progress``/``interruptible`` mirror
-    :class:`~repro.generative.campaign.GenerativeCampaign`: a slice is a
-    global ``[start, stop)`` window over the deterministic seed list
-    (the sharded runtime's partitioning hook), skipped offsets are
-    quarantined poison seeds, ``progress`` fires at each seed boundary
-    before the seed runs, and shard workers disable the deferred-SIGINT
-    handler so the supervisor owns interrupts.
+    One offset is one entry of the deterministic seed list: fixtures,
+    then corpus bank, then fresh generator seeds.  The list is built
+    once per campaign object, on first use.
     """
 
-    def __init__(
-        self,
-        options: SancheckOptions,
-        bank: FindingBank | None = None,
-        engine: CompDiff | None = None,
-        seed_slice: tuple[int, int] | None = None,
-        skip_offsets: frozenset[int] = frozenset(),
-        progress: Optional[Callable[[int], None]] = None,
-        interruptible: bool = True,
-    ) -> None:
-        self.options = options
-        self.bank = bank
-        self.seed_slice = seed_slice
-        self.skip_offsets = frozenset(skip_offsets)
-        self.progress = progress
-        self.interruptible = interruptible
-        self._owns_engine = engine is None
-        if engine is None:
-            engine = CompDiff(workers=options.workers)
-        self.engine = engine
+    kind = BankedFinding.KIND
+    result_type = SancheckResult
+
+    def __init__(self, options: SancheckOptions, bank=None, engine=None) -> None:
+        super().__init__(options, bank, engine)
         self.oracle = UBOracle(mode="interproc")
-        self.verdicts = VerdictEngine(engine, oracle=self.oracle)
 
-    def __enter__(self) -> "SancheckCampaign":
-        return self
+    @cached_property
+    def verdicts(self) -> VerdictEngine:
+        return VerdictEngine(self.engine, oracle=self.oracle)
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._owns_engine:
-            self.engine.close()
-
-    # ------------------------------------------------------------- seed list
-
+    @cached_property
     def seeds(self) -> list[SanSeed]:
         """The campaign's full seed list, deterministic order."""
-        return build_seeds(self.options)
-
-    # --------------------------------------------------------------- campaign
-
-    def run(self) -> SancheckResult:
         options = self.options
-        result = SancheckResult()
-        seeds = self.seeds()
-        lo, hi = self.seed_slice if self.seed_slice is not None else (0, len(seeds))
-        start = lo
-        checkpoint = self._load_checkpoint()
-        if checkpoint is not None:
-            start = max(lo, checkpoint.offset)
-            result.seeds = checkpoint.seeds
-            result.variants = checkpoint.variants
-            result.dropped = checkpoint.dropped
-            result.screened = checkpoint.screened
-            result.skipped = checkpoint.skipped
-            result.banked_new = checkpoint.banked_new
-            result.duplicates = checkpoint.duplicates
-            result.verdicts = list(checkpoint.verdicts)
-            result.resumed_at = start
-        processed_through = start
-        with DeferredInterrupt(enabled=self.interruptible) as intr:
-            for offset in range(start, hi):
-                if intr.pending:
-                    if options.checkpoint_dir is not None:
-                        self._save_checkpoint(processed_through, result)
-                    raise KeyboardInterrupt(
-                        "campaign interrupted; checkpoint flushed"
-                    )
-                if self.progress is not None:
-                    self.progress(offset)
-                if offset not in self.skip_offsets:
-                    self._process(seeds[offset], result)
-                processed_through = offset + 1
-                if (
-                    options.checkpoint_dir is not None
-                    and (offset + 1 - start) % options.checkpoint_every == 0
-                ):
-                    self._save_checkpoint(processed_through, result)
-        if options.checkpoint_dir is not None:
-            self._save_checkpoint(processed_through, result)
-        if self.bank is not None:
-            result.bank_size = len(self.bank)
-        return result
+        seeds: list[SanSeed] = []
+        if options.fixtures:
+            seeds.extend(fixture_seeds(options.fixtures))
+        if options.corpus:
+            seeds.extend(corpus_seeds(options.corpus))
+        if options.budget > 0:
+            seeds.extend(
+                generator_seeds(options.seed, options.budget, options.profile, options.inputs)
+            )
+        return seeds
 
-    # -------------------------------------------------------------- one seed
+    def total(self) -> int:
+        return len(self.seeds)
 
-    def _process(self, seed: SanSeed, result: SancheckResult) -> None:
+    def label(self, offset: int) -> str:
+        return self.seeds[offset].label
+
+    def step(self, offset: int, result: SancheckResult):
         options = self.options
+        seed = self.seeds[offset]
         inputs = list(seed.inputs)
         name = f"sanval-{seed.label}"
         try:
@@ -502,7 +384,7 @@ class SancheckCampaign:
                 result.variants += 1
                 result.verdicts.append(verdict)
                 if verdict.outcome == FN:
-                    self._bank_finding(verdict, result)
+                    yield self._finding(verdict)
 
         good = seed.good_source
         if good is None:
@@ -528,60 +410,43 @@ class SancheckCampaign:
                 result.variants += 1
                 result.verdicts.append(verdict)
                 if verdict.outcome == FP:
-                    self._bank_finding(verdict, result)
+                    yield self._finding(verdict)
 
     # ---------------------------------------------------------------- banking
 
-    def _bank_finding(self, verdict: SanVerdict, result: SancheckResult) -> None:
-        if self.bank is None:
-            return
-        kinds = verdict.expected if verdict.outcome == FN else verdict.reported_kinds
-        key = finding_key(
-            verdict.sanitizer,
-            verdict.outcome,
-            kinds,
-            verdict.truth.confirmed_checkers,
-            verdict.truth.oracle_fingerprints,
-            verdict.truth.partition,
-        )
-        if key in self.bank:
-            result.duplicates += 1
-            return
-        source = verdict.source
-        original_nodes = count_nodes(load(source))
-        reduced_nodes = original_nodes
-        steps = tests = 0
-        if self.options.reduce:
-            reduction = self._reduce(verdict, source)
-            if reduction is not None:
-                source = reduction.reduced_source
-                original_nodes = reduction.original_nodes
-                reduced_nodes = reduction.reduced_nodes
-                steps = len(reduction.steps)
-                tests = reduction.tests_run
-        banked = BankedFinding(
-            key=key,
+    def _finding(self, verdict: SanVerdict):
+        """The ``(key, build)`` pair of an FN/FP verdict's evidence class."""
+        truth = verdict.truth
+        finding = BankedFinding(
             sanitizer=verdict.sanitizer,
             outcome=verdict.outcome,
             seed=verdict.seed,
             variant=verdict.variant,
-            kinds=kinds,
-            checkers=verdict.truth.confirmed_checkers,
-            oracle_fingerprints=verdict.truth.oracle_fingerprints,
-            partition=verdict.truth.partition,
-            impl_ref=verdict.truth.impl_ref,
-            impl_target=verdict.truth.impl_target,
-            source=source,
+            kinds=verdict.expected if verdict.outcome == FN else verdict.reported_kinds,
+            checkers=truth.confirmed_checkers,
+            oracle_fingerprints=truth.oracle_fingerprints,
+            partition=truth.partition,
+            impl_ref=truth.impl_ref,
+            impl_target=truth.impl_target,
+            source=verdict.source,
             inputs=list(verdict.inputs),
-            original_nodes=original_nodes,
-            reduced_nodes=reduced_nodes,
-            reduction_steps=steps,
-            reduction_tests=tests,
         )
-        if self.bank.add(banked):
-            result.banked_new += 1
-        else:  # pragma: no cover - key checked above
-            result.duplicates += 1
+
+        def build() -> BankedFinding:
+            nodes = count_nodes(load(finding.source))
+            reduction = self._reduce(verdict, finding.source) if self.options.reduce else None
+            if reduction is None:
+                return replace(finding, original_nodes=nodes, reduced_nodes=nodes)
+            return replace(
+                finding,
+                source=reduction.reduced_source,
+                original_nodes=reduction.original_nodes,
+                reduced_nodes=reduction.reduced_nodes,
+                reduction_steps=len(reduction.steps),
+                reduction_tests=reduction.tests_run,
+            )
+
+        return finding.key, build
 
     def _reduce(self, verdict: SanVerdict, source: str):
         sanitizer = next(
@@ -637,42 +502,3 @@ class SancheckCampaign:
                 continue
             return candidate
         return None
-
-    # ---------------------------------------------------------- checkpoints
-
-    def _checkpoint_path(self) -> str:
-        assert self.options.checkpoint_dir is not None
-        return os.path.join(self.options.checkpoint_dir, CHECKPOINT_FILE)
-
-    def _save_checkpoint(self, offset: int, result: SancheckResult) -> None:
-        write_record(
-            self._checkpoint_path(),
-            MAGIC,
-            SancheckCheckpoint(
-                options_digest=self.options.digest(),
-                offset=offset,
-                seeds=result.seeds,
-                variants=result.variants,
-                dropped=result.dropped,
-                screened=result.screened,
-                skipped=result.skipped,
-                banked_new=result.banked_new,
-                duplicates=result.duplicates,
-                verdicts=list(result.verdicts),
-            ),
-        )
-
-    def _load_checkpoint(self) -> SancheckCheckpoint | None:
-        if self.options.checkpoint_dir is None:
-            return None
-        path = self._checkpoint_path()
-        if not os.path.exists(path):
-            return None
-        checkpoint = read_record(path, MAGIC, SancheckCheckpoint)
-        if checkpoint.options_digest != self.options.digest():
-            raise CheckpointError(
-                "sancheck checkpoint was written with different campaign "
-                "options; refusing to resume (move or delete "
-                f"{path!r} to start fresh)"
-            )
-        return checkpoint

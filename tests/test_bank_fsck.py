@@ -5,7 +5,9 @@ Banks are crafted by hand here — fsck validates metadata consistency
 engine run is needed.  Each test damages a healthy bank in one specific
 way, asserts strict loading rejects it (where it should), and asserts
 fsck moves exactly the broken parts into the ``corrupt/`` sidecar and
-leaves a bank that loads cleanly.
+leaves a bank that loads cleanly.  Version-1 manifests (the layout
+before generative and sanval banks merged into one format) must be
+refused by loading and migrated by fsck.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import json
 
 import pytest
 
+from repro.campaigns.bank import Bank
 from repro.campaigns.fsck import CORRUPT_DIR, LEDGER_FILE, fsck_bank
 from repro.cli import main as cli_main
 from repro.errors import ReproError
-from repro.generative.bank import BankedRepro, CorpusBank, corpus_key
-from repro.sanval.bank import BankedFinding, FindingBank, finding_key
+from repro.generative.bank import BankedRepro, CorpusBank
+from repro.sanval.bank import BankedFinding
 
 pytestmark = pytest.mark.faults
 
@@ -26,10 +29,7 @@ PARTITION = (("gcc-O0", "clang-O0"), ("gcc-O2",))
 
 
 def _make_repro(tag: str) -> BankedRepro:
-    checkers = (f"UninitLoad-{tag}",)
-    key = corpus_key(set(checkers), "baseline", PARTITION)
     return BankedRepro(
-        key=key,
         seed=7,
         profile="ub",
         generator_version=1,
@@ -37,7 +37,7 @@ def _make_repro(tag: str) -> BankedRepro:
         source=f"int main(void) {{ return 0; }} /* {tag} */\n",
         good_source=f"int main(void) {{ return 0; }} /* good {tag} */\n",
         inputs=[b""],
-        checkers=checkers,
+        checkers=(f"UninitLoad-{tag}",),
         fingerprints=(f"fp-{tag}",),
         group="uninit",
         partition=PARTITION,
@@ -47,20 +47,14 @@ def _make_repro(tag: str) -> BankedRepro:
 
 
 def _make_finding(tag: str) -> BankedFinding:
-    checkers = (f"OOBRead-{tag}",)
-    fingerprints = (f"ofp-{tag}",)
-    key = finding_key(
-        "asan", "FN", ("heap-buffer-overflow",), checkers, fingerprints, PARTITION
-    )
     return BankedFinding(
-        key=key,
         sanitizer="asan",
         outcome="FN",
         seed=f"fix-{tag}",
         variant="outline",
         kinds=("heap-buffer-overflow",),
-        checkers=checkers,
-        oracle_fingerprints=fingerprints,
+        checkers=(f"OOBRead-{tag}",),
+        oracle_fingerprints=(f"ofp-{tag}",),
         partition=PARTITION,
         impl_ref="gcc-O0",
         impl_target="gcc-O2",
@@ -81,7 +75,7 @@ def gen_bank(tmp_path):
 @pytest.fixture
 def san_bank(tmp_path):
     root = tmp_path / "san-bank"
-    bank = FindingBank(root)
+    bank = Bank(root)
     for tag in ("alpha", "beta"):
         assert bank.add(_make_finding(tag))
     return root
@@ -123,7 +117,7 @@ def test_missing_program_is_quarantined(gen_bank):
 
 def test_tampered_metadata_fails_key_recomputation(gen_bank):
     data = _manifest(gen_bank)
-    data["repros"][1]["checkers"] = ["SomethingElse"]
+    data["entries"][1]["checkers"] = ["SomethingElse"]
     _write_manifest(gen_bank, data)
     report = fsck_bank(gen_bank)
     assert report.kept == 2
@@ -133,7 +127,7 @@ def test_tampered_metadata_fails_key_recomputation(gen_bank):
 
 def test_duplicate_key_keeps_first_occurrence(gen_bank):
     data = _manifest(gen_bank)
-    data["repros"].append(dict(data["repros"][0]))
+    data["entries"].append(dict(data["entries"][0]))
     _write_manifest(gen_bank, data)
     report = fsck_bank(gen_bank)
     assert report.kept == 3
@@ -193,14 +187,54 @@ def test_kind_override_mismatch_quarantines_manifest(gen_bank):
 
 
 def test_sanval_bank_salvage(san_bank):
-    victim = FindingBank(san_bank).keys()[0]
+    victim = Bank(san_bank).keys()[0]
     (san_bank / "programs" / f"{victim}.c").unlink()
     with pytest.raises(ReproError, match="fsck"):
-        FindingBank(san_bank)
+        Bank(san_bank)
     report = fsck_bank(san_bank)
     assert report.kind == "sancheck"
     assert report.kept == 1
-    assert len(FindingBank(san_bank)) == 1
+    assert len(Bank(san_bank)) == 1
+
+
+def _downgrade_to_v1(root) -> dict:
+    """Rewrite *root*'s manifest in the version-1 layout; returns it."""
+    data = _manifest(root)
+    entries = []
+    for entry in data["entries"]:
+        entry = dict(entry)
+        entry["inputs_hex"] = entry.pop("inputs")
+        entries.append(entry)
+    v1 = {"version": 1, {"generative": "repros", "sancheck": "findings"}[data["kind"]]: entries}
+    _write_manifest(root, v1)
+    return data
+
+
+@pytest.mark.parametrize("bank_fixture", ["gen_bank", "san_bank"])
+def test_v1_manifest_is_refused_then_migrated_by_cli(bank_fixture, request, capsys):
+    root = request.getfixturevalue(bank_fixture)
+    before = {path.name: path.read_bytes() for path in (root / "programs").iterdir()}
+    v2 = _downgrade_to_v1(root)
+    with pytest.raises(ReproError, match=f"repro bank fsck {root}"):
+        Bank(root)
+    assert cli_main(["bank", "fsck", str(root)]) == 0
+    assert "migrated to version 2" in capsys.readouterr().out
+    # The migrated manifest is the one the bank itself would write.
+    assert _manifest(root) == v2
+    bank = Bank(root)
+    assert bank.kind == v2["kind"] and bank.keys() == [e["key"] for e in v2["entries"]]
+    assert {path.name: path.read_bytes() for path in (root / "programs").iterdir()} == before
+    assert not (root / CORRUPT_DIR).exists()
+
+
+def test_v1_migration_still_salvages(gen_bank):
+    v2 = _downgrade_to_v1(gen_bank)
+    victim = v2["entries"][0]["key"]
+    (gen_bank / "programs" / f"{victim}.c").unlink()
+    report = fsck_bank(gen_bank)
+    assert report.migrated and report.kept == 2
+    assert [f.key for f in report.quarantined] == [victim]
+    assert len(CorpusBank(gen_bank)) == 2
 
 
 def test_not_a_bank_is_refused(tmp_path):

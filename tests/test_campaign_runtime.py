@@ -19,12 +19,12 @@ import signal
 
 import pytest
 
+from repro.campaigns.bank import Bank
+from repro.campaigns.kernel import CHECKPOINT_FILE, MAGIC, Checkpoint
 from repro.campaigns.runtime import (
     QUARANTINE_FILE,
     RESULT_FILE,
     CampaignRuntime,
-    GenerativeShardAdapter,
-    SancheckShardAdapter,
     ShardPolicy,
     partition_range,
 )
@@ -32,7 +32,7 @@ from repro.errors import CheckpointError, EngineConfigError
 from repro.generative.bank import CorpusBank
 from repro.generative.campaign import GenerativeCampaign, GenerativeOptions
 from repro.parallel.faults import ShardFaultPlan
-from repro.sanval.bank import FindingBank
+from repro.persist import read_record
 from repro.sanval.campaign import SancheckCampaign, SancheckOptions
 
 pytestmark = [pytest.mark.faults, pytest.mark.slow]
@@ -72,7 +72,7 @@ def _gen_signature(result) -> tuple:
         result.duplicates,
         result.drifted,
         result.keys,
-        result.corpus_size,
+        result.bank_size,
     )
 
 
@@ -89,8 +89,7 @@ def serial(tmp_path_factory):
 
 def _run_sharded(tmp_path, shards=2, policy=FAST, fault_plan=None, options=None):
     runtime = CampaignRuntime(
-        GenerativeShardAdapter(options or _options()),
-        CorpusBank(tmp_path / "merged"),
+        GenerativeCampaign(options or _options(), CorpusBank(tmp_path / "merged")),
         root=str(tmp_path / "campaign"),
         shards=shards,
         policy=policy,
@@ -157,8 +156,7 @@ def test_rerunning_a_finished_campaign_is_idempotent(serial, tmp_path):
     # Every shard already has a valid result record: the rerun must
     # launch nothing and still merge the same corpus into a fresh bank.
     rerun = CampaignRuntime(
-        GenerativeShardAdapter(_options()),
-        CorpusBank(tmp_path / "merged-again"),
+        GenerativeCampaign(_options(), CorpusBank(tmp_path / "merged-again")),
         root=str(tmp_path / "campaign"),
         shards=2,
         policy=FAST,
@@ -252,8 +250,7 @@ def test_dead_supervisor_resumes_and_converges(serial, tmp_path):
     shutil.rmtree(shard_dir / "ckpt")
     shutil.rmtree(shard_dir / "bank")
     resumed = CampaignRuntime(
-        GenerativeShardAdapter(_options()),
-        CorpusBank(tmp_path / "merged-resumed"),
+        GenerativeCampaign(_options(), CorpusBank(tmp_path / "merged-resumed")),
         root=str(tmp_path / "campaign"),
         shards=2,
         policy=FAST,
@@ -267,8 +264,9 @@ def test_incompatible_shard_plan_is_refused(serial, tmp_path):
     _run_sharded(tmp_path)
     for bad_kwargs in ({"shards": 3}, {"options": _options(profile="plain")}):
         runtime = CampaignRuntime(
-            GenerativeShardAdapter(bad_kwargs.get("options", _options())),
-            CorpusBank(tmp_path / "merged-bad"),
+            GenerativeCampaign(
+                bad_kwargs.get("options", _options()), CorpusBank(tmp_path / "merged-bad")
+            ),
             root=str(tmp_path / "campaign"),
             shards=bad_kwargs.get("shards", 2),
             policy=FAST,
@@ -287,11 +285,10 @@ def _san_options(**overrides) -> SancheckOptions:
 
 
 def test_sancheck_sharded_matches_serial(tmp_path):
-    with SancheckCampaign(_san_options(), bank=FindingBank(tmp_path / "serial")) as c:
+    with SancheckCampaign(_san_options(), bank=Bank(tmp_path / "serial")) as c:
         serial_result = c.run()
     runtime = CampaignRuntime(
-        SancheckShardAdapter(_san_options()),
-        FindingBank(tmp_path / "merged"),
+        SancheckCampaign(_san_options(), Bank(tmp_path / "merged")),
         root=str(tmp_path / "campaign"),
         shards=2,
         policy=FAST,
@@ -304,6 +301,73 @@ def test_sancheck_sharded_matches_serial(tmp_path):
     for attr in ("seeds", "variants", "dropped", "screened", "skipped",
                  "banked_new", "duplicates", "bank_size"):
         assert getattr(merged, attr) == getattr(serial_result, attr), attr
+
+
+# ------------------------------------------ shared-bank dedupe identity
+
+
+def _gen_campaign(bank):
+    return GenerativeCampaign(_options(), bank)
+
+
+def _san_campaign(bank):
+    return SancheckCampaign(_san_options(), bank)
+
+
+@pytest.mark.parametrize(
+    "make", [_gen_campaign, _san_campaign], ids=["generative", "sancheck"]
+)
+def test_preseeded_bank_dedupes_identically_serial_and_sharded(make, tmp_path):
+    """A bank that already holds one of the campaign's classes counts it
+    as a duplicate the same way serially and sharded."""
+    with make(Bank(tmp_path / "reference")) as campaign:
+        reference = campaign.run()
+    assert reference.banked_new >= 2
+    Bank(tmp_path / "serial").add(Bank(tmp_path / "reference").get(reference.keys[-1]))
+    shutil.copytree(tmp_path / "serial", tmp_path / "sharded")
+    with make(Bank(tmp_path / "serial")) as campaign:
+        serial = campaign.run()
+    sharded = CampaignRuntime(
+        make(Bank(tmp_path / "sharded")),
+        root=str(tmp_path / "campaign"),
+        shards=2,
+        policy=FAST,
+    ).run()
+    assert _corpus_bytes(tmp_path / "sharded") == _corpus_bytes(tmp_path / "serial")
+    assert (sharded.banked_new, sharded.duplicates) == (serial.banked_new, serial.duplicates)
+    assert serial.banked_new == reference.banked_new - 1
+    assert serial.duplicates == reference.duplicates + 1
+    assert sharded.keys == serial.keys == reference.keys
+
+
+def test_sharded_sancheck_builds_its_seed_list_once(tmp_path, monkeypatch):
+    """The supervisor sizes and labels the seed list (a quarantine needs
+    a label) from one build: every generator program is made once."""
+    import repro.sanval.campaign as sanval_campaign
+
+    made = []
+    real = sanval_campaign.generate_program
+
+    def counting(seed, profile):
+        made.append(seed)
+        return real(seed, profile)
+
+    monkeypatch.setattr(sanval_campaign, "generate_program", counting)
+    options = SancheckOptions(seed=0, budget=3, relocations=("outline",), reduce=False)
+    policy = ShardPolicy(
+        seed_deadline=30.0, max_seed_attempts=2, backoff_base=0.01, backoff_max=0.05
+    )
+    runtime = CampaignRuntime(
+        SancheckCampaign(options, Bank(tmp_path / "bank")),
+        root=str(tmp_path / "campaign"),
+        shards=2,
+        policy=policy,
+        fault_plan=ShardFaultPlan(poison={1: "crash"}),
+    )
+    runtime.run()
+    assert [entry.label for entry in runtime.quarantine] == ["gen-ub-1"]
+    # Shard workers are separate processes; only the supervisor counts here.
+    assert sorted(made) == [0, 1, 2]
 
 
 # --------------------------------------------------- SIGINT boundary flush
@@ -320,17 +384,12 @@ def test_generative_sigint_flushes_at_boundary_and_resumes(tmp_path):
             os.kill(os.getpid(), signal.SIGINT)
 
     bank = CorpusBank(tmp_path / "corpus")
-    with GenerativeCampaign(options, bank, progress=fire_sigint) as campaign:
+    with GenerativeCampaign(options, bank) as campaign:
         with pytest.raises(KeyboardInterrupt, match="checkpoint flushed"):
-            campaign.run()
+            campaign.run(progress=fire_sigint)
     # The signal landed at offset 1's boundary but was deferred: seed 1
     # completed and the flushed checkpoint records it.
-    from repro.generative.campaign import CHECKPOINT_FILE, MAGIC, GenerativeCheckpoint
-    from repro.persist import read_record
-
-    flushed = read_record(
-        str(tmp_path / "ckpt" / CHECKPOINT_FILE), MAGIC, GenerativeCheckpoint
-    )
+    flushed = read_record(str(tmp_path / "ckpt" / CHECKPOINT_FILE), MAGIC, Checkpoint)
     assert flushed.offset == 2
     with GenerativeCampaign(options, bank) as campaign:
         resumed = campaign.run()
@@ -340,7 +399,7 @@ def test_generative_sigint_flushes_at_boundary_and_resumes(tmp_path):
 
 
 def test_sancheck_sigint_flushes_at_boundary_and_resumes(tmp_path):
-    with SancheckCampaign(_san_options(), bank=FindingBank(tmp_path / "reference")) as c:
+    with SancheckCampaign(_san_options(), bank=Bank(tmp_path / "reference")) as c:
         reference = c.run()
 
     def fire_sigint(offset: int) -> None:
@@ -348,16 +407,11 @@ def test_sancheck_sigint_flushes_at_boundary_and_resumes(tmp_path):
             os.kill(os.getpid(), signal.SIGINT)
 
     options = _san_options(checkpoint_dir=str(tmp_path / "ckpt"))
-    bank = FindingBank(tmp_path / "bank")
-    with SancheckCampaign(options, bank=bank, progress=fire_sigint) as campaign:
+    bank = Bank(tmp_path / "bank")
+    with SancheckCampaign(options, bank=bank) as campaign:
         with pytest.raises(KeyboardInterrupt, match="checkpoint flushed"):
-            campaign.run()
-    from repro.persist import read_record
-    from repro.sanval.campaign import CHECKPOINT_FILE, MAGIC, SancheckCheckpoint
-
-    flushed = read_record(
-        str(tmp_path / "ckpt" / CHECKPOINT_FILE), MAGIC, SancheckCheckpoint
-    )
+            campaign.run(progress=fire_sigint)
+    flushed = read_record(str(tmp_path / "ckpt" / CHECKPOINT_FILE), MAGIC, Checkpoint)
     assert flushed.offset == 2
     with SancheckCampaign(options, bank=bank) as campaign:
         resumed = campaign.run()

@@ -23,12 +23,9 @@ from repro.core.compdiff import CompDiff
 from repro.errors import CheckpointError
 from repro.evaluation.precision_eval import evaluate_precision, precision_corpus
 from repro.generative import CorpusBank, GenerativeCampaign, GenerativeOptions
-from repro.generative.bank import (
-    BASELINE_CULPRIT,
-    BankedRepro,
-    classify_group,
-    corpus_key,
-)
+from dataclasses import replace
+
+from repro.generative.bank import BASELINE_CULPRIT, BankedRepro, classify_group
 from repro.parallel import FaultPlan, SupervisorPolicy
 
 pytestmark = [pytest.mark.generative, pytest.mark.slow]
@@ -70,13 +67,22 @@ def clean_corpus(tmp_path_factory):
 
 
 def test_corpus_key_is_deterministic_and_discriminating():
-    partition = (("clang-O0",), ("gcc-O0", "gcc-O2"))
-    key = corpus_key({"signed_overflow"}, "exploit_ub", partition)
-    assert key == corpus_key({"signed_overflow"}, "exploit_ub", partition)
+    repro = replace(
+        _dummy_repro(),
+        checkers=("signed_overflow",),
+        culprit_original="exploit_ub",
+        partition=(("clang-O0",), ("gcc-O0", "gcc-O2")),
+    )
+    key = repro.key
+    assert key == replace(repro).key
     assert len(key) == 16
-    assert key != corpus_key({"uninit_read"}, "exploit_ub", partition)
-    assert key != corpus_key({"signed_overflow"}, BASELINE_CULPRIT, partition)
-    assert key != corpus_key({"signed_overflow"}, "exploit_ub", (("gcc-O0",),))
+    # Pinned: dedupe keys must stay stable across bank format changes.
+    assert key == "335bdce1f494fc66"
+    assert key != replace(repro, checkers=("uninit_read",)).key
+    assert key != replace(repro, culprit_original=BASELINE_CULPRIT).key
+    assert key != replace(repro, partition=(("gcc-O0",),)).key
+    # Provenance and drill-down metadata do not split a class.
+    assert key == replace(repro, seed=99, fingerprints=("ff" * 8,), source="x").key
 
 
 def test_classify_group_priority():
@@ -86,9 +92,8 @@ def test_classify_group_priority():
     assert classify_group(set()) == "unclassified"
 
 
-def _dummy_repro(key: str = "k" * 16) -> BankedRepro:
+def _dummy_repro() -> BankedRepro:
     return BankedRepro(
-        key=key,
         seed=1,
         profile="ub",
         generator_version=1,
@@ -224,7 +229,7 @@ def test_banked_corpus_scores_on_precision_scoreboard(clean_corpus):
     """Every classified banked repro is a confirmed TP for at least one
     checker it fired, and the stabilized twins are FP-free."""
     bank, _ = clean_corpus
-    cases = bank.test_cases()
+    cases = [repro.test_case() for repro in bank]
     assert cases
     report = evaluate_precision(cases, modes=("interproc",))
     assert report.cases == len(cases)

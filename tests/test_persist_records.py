@@ -2,10 +2,10 @@
 
 ``tests/test_checkpoint.py`` pins these properties for the fuzzer's
 ``RPRCKPT1`` records; this module pins the same contract for the
-formats added since — the generative campaign checkpoint
-(``RPRGENC1``), the sancheck campaign checkpoint (``RPRSANC1``), and
-the shard result record (``RPRSHRD1``): any truncated, short, empty,
-wrong-magic, or bit-flipped record raises
+formats added since — the campaign kernel's checkpoint (``RPRCAMP1``,
+one format for both kinds of campaign, exercised here with each kind's
+result object) and the shard result record (``RPRSHRD1``): any
+truncated, short, empty, wrong-magic, or bit-flipped record raises
 :class:`~repro.errors.CheckpointError` instead of deserializing
 garbage, and the atomic-write helpers leave no temp droppings.
 """
@@ -17,10 +17,11 @@ import os
 
 import pytest
 
+from repro.campaigns.bank import Bank
+from repro.campaigns.kernel import CHECKPOINT_FILE, MAGIC, Checkpoint
 from repro.campaigns.runtime import SHARD_MAGIC, ShardRecord
 from repro.errors import CheckpointError
-from repro.generative.campaign import MAGIC as GEN_MAGIC
-from repro.generative.campaign import GenerativeCheckpoint, GenerativeResult
+from repro.generative.campaign import GenerativeCampaign, GenerativeOptions, GenerativeResult
 from repro.persist import (
     atomic_write_bytes,
     atomic_write_json,
@@ -28,37 +29,30 @@ from repro.persist import (
     read_record,
     write_record,
 )
-from repro.sanval.campaign import MAGIC as SAN_MAGIC
-from repro.sanval.campaign import SancheckCheckpoint
+from repro.sanval.campaign import SancheckCampaign, SancheckOptions, SancheckResult
 
 pytestmark = pytest.mark.faults
 
 
-def _gen_checkpoint() -> GenerativeCheckpoint:
-    return GenerativeCheckpoint(
+def _gen_checkpoint() -> Checkpoint:
+    return Checkpoint(
+        kind="generative",
         options_digest="d" * 16,
         offset=3,
-        generated=3,
-        divergent=1,
-        banked_new=1,
-        duplicates=0,
-        drifted=0,
-        keys=["abcd" * 4],
+        result=GenerativeResult(
+            generated=3, divergent=1, banked_new=1, keys=["abcd" * 4]
+        ),
     )
 
 
-def _san_checkpoint() -> SancheckCheckpoint:
-    return SancheckCheckpoint(
+def _san_checkpoint() -> Checkpoint:
+    return Checkpoint(
+        kind="sancheck",
         options_digest="e" * 16,
         offset=2,
-        seeds=2,
-        variants=4,
-        dropped=0,
-        screened=1,
-        skipped=0,
-        banked_new=1,
-        duplicates=1,
-        verdicts=[],
+        result=SancheckResult(
+            seeds=2, variants=4, screened=1, banked_new=1, duplicates=1
+        ),
     )
 
 
@@ -72,8 +66,8 @@ def _shard_record() -> ShardRecord:
 
 
 FORMATS = [
-    pytest.param(GEN_MAGIC, _gen_checkpoint, GenerativeCheckpoint, id="generative"),
-    pytest.param(SAN_MAGIC, _san_checkpoint, SancheckCheckpoint, id="sancheck"),
+    pytest.param(MAGIC, _gen_checkpoint, Checkpoint, id="generative"),
+    pytest.param(MAGIC, _san_checkpoint, Checkpoint, id="sancheck"),
     pytest.param(SHARD_MAGIC, _shard_record, ShardRecord, id="shard"),
 ]
 
@@ -123,12 +117,16 @@ def test_wrong_magic_is_rejected(tmp_path, magic, make, cls):
 
 
 def test_campaign_magics_are_mutually_incompatible(tmp_path):
-    # A generative checkpoint must not read back as a sancheck one even
-    # if the caller passes the matching type.
-    path = str(tmp_path / "state.rec")
-    write_record(path, GEN_MAGIC, _gen_checkpoint())
-    with pytest.raises(CheckpointError):
-        read_record(path, SAN_MAGIC, GenerativeCheckpoint)
+    # A generative campaign's checkpoint directory handed to a sancheck
+    # campaign is refused, not resumed from.
+    write_record(str(tmp_path / CHECKPOINT_FILE), MAGIC, _gen_checkpoint())
+    options = SancheckOptions(checkpoint_dir=str(tmp_path))
+    with pytest.raises(CheckpointError, match="generative checkpoint"):
+        SancheckCampaign(options, Bank(tmp_path / "bank")).run()
+    # A shard result record is no campaign checkpoint either.
+    write_record(str(tmp_path / CHECKPOINT_FILE), SHARD_MAGIC, _shard_record())
+    with pytest.raises(CheckpointError, match="bad magic"):
+        GenerativeCampaign(GenerativeOptions(checkpoint_dir=str(tmp_path)), None).run()
 
 
 @pytest.mark.parametrize("magic,make,cls", FORMATS)

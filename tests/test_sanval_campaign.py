@@ -7,10 +7,10 @@ import pathlib
 
 import pytest
 
+from repro.campaigns.bank import Bank
 from repro.cli import main as cli_main
 from repro.errors import CheckpointError, ReproError
 from repro.sanval import (
-    FindingBank,
     SancheckCampaign,
     SancheckOptions,
     fixture_seeds,
@@ -83,21 +83,21 @@ class TestDeterminism:
 
 class TestBanking:
     def test_findings_are_banked_reduced_and_deduped(self, tmp_path):
-        bank = FindingBank(tmp_path / "bank")
+        bank = Bank(tmp_path / "bank")
         first = run_campaign(bank=bank)
         assert first.banked_new >= 2
         assert first.bank_size == len(bank)
         for finding in bank:
             assert finding.reduced_nodes <= finding.original_nodes
         # A rerun over the same bank discovers only duplicates.
-        second = run_campaign(bank=FindingBank(tmp_path / "bank"))
+        second = run_campaign(bank=Bank(tmp_path / "bank"))
         assert second.banked_new == 0
         assert second.duplicates >= first.banked_new
 
     def test_bank_survives_reopen(self, tmp_path):
-        bank = FindingBank(tmp_path / "bank")
+        bank = Bank(tmp_path / "bank")
         run_campaign(bank=bank)
-        reopened = FindingBank(tmp_path / "bank")
+        reopened = Bank(tmp_path / "bank")
         assert reopened.keys() == bank.keys()
 
 
@@ -110,17 +110,17 @@ class TestCheckpointing:
             pass
 
         with SancheckCampaign(options) as campaign:
-            original = campaign._process
+            original = campaign.step
             calls = 0
 
-            def explode(seed, result):
+            def explode(offset, result):
                 nonlocal calls
                 calls += 1
                 if calls > 1:
                     raise Boom()
-                return original(seed, result)
+                return original(offset, result)
 
-            campaign._process = explode
+            campaign.step = explode
             with pytest.raises(Boom):
                 campaign.run()
 
