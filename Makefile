@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-e2e-bench test-faults test-passes test-generative test-sanval test-verified smoke-generate sancheck sancheck-baseline chaos bench bench-quick bench-scaling bench-passes bench-throughput precision analyze examples clean
+.PHONY: install test test-fast test-e2e-bench test-faults test-verify-vm test-passes test-generative test-sanval test-verified smoke-generate sancheck sancheck-baseline chaos bench bench-quick bench-scaling bench-passes bench-throughput precision analyze examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -24,6 +24,14 @@ test-e2e-bench:
 # Robustness lane: fault injection + checkpoint/resume round trips.
 test-faults:
 	$(PYTHON) -m pytest tests/ -m faults
+
+# Decoded-executor lane: every execution (ForkServer runs, coverage runs,
+# one-shot run_binary and its line traces) is rerun on the reference
+# loop and must match it field for field.  docs/PERFORMANCE.md.
+test-verify-vm:
+	REPRO_VERIFY_LOCKSTEP=1 timeout 600 $(PYTHON) -m pytest tests/test_vm_exec.py \
+	    tests/test_fuzzing.py tests/test_corpus.py tests/test_targets.py \
+	    tests/test_bisect.py tests/test_extensions.py -q
 
 # Pass-manager lane: pipeline shape, golden IR digests, bisection.
 test-passes:

@@ -3,10 +3,10 @@
 Not a paper artifact — this tracks the three throughput levers the
 experiment harnesses stand on (docs/PERFORMANCE.md):
 
-* the decode-once **lockstep executor** vs one-shot ``run_binary``
-  on a single binary;
-* one full **ten-implementation oracle step** with the lockstep fast
-  path vs the reference interpreter (``REPRO_NO_LOCKSTEP=1``) — the
+* the decode-once **lockstep executor** vs the reference loop
+  (``run_reference``, one-shot) on a single binary;
+* one full **ten-implementation oracle step** on the decoded tables vs
+  each implementation's binary run through ``run_reference`` — the
   quantity every campaign's exec/sec hangs off;
 * **batched engine submission** (one task carrying all inputs of a
   program) vs per-execution task submission at the same worker count.
@@ -29,16 +29,16 @@ which re-measures and checks the deterministic columns.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import sys
 import time
 
 from repro.compiler import compile_source, implementation
 from repro.core.compdiff import CompDiff
+from repro.core.hashing import observation_checksum
 from repro.minic import load
 from repro.parallel.engine import BatchJob, ParallelEngine, ProgramPayload
-from repro.vm import ForkServer, run_binary
+from repro.vm import ForkServer, run_reference
 
 from _common import write_result
 
@@ -107,7 +107,7 @@ def _measure_single_binary() -> dict:
     for _ in range(ITERATIONS):
         started = time.perf_counter()
         for _ in range(reps):
-            cold = [_observation(run_binary(binary, i)) for i in INPUTS]
+            cold = [_observation(run_reference(binary, i)) for i in INPUTS]
         wall = time.perf_counter() - started
         best_cold = wall if best_cold is None else min(best_cold, wall)
 
@@ -138,18 +138,27 @@ def _oracle_checksums(engine: CompDiff) -> list[dict[str, int]]:
     ]
 
 
-def _measure_oracle_step() -> dict:
-    ref_env = dict(REPRO_NO_LOCKSTEP="1")
+def _reference_checksums(engine: CompDiff) -> list[dict[str, int]]:
+    """The oracle step's checksums, each binary run on the reference loop."""
+    servers = engine.build_source(SOURCE)
+    normalize = engine.normalizer.normalize_observation
+    return [
+        {
+            name: observation_checksum(normalize(run_reference(
+                server.binary, i, fuel=server.fuel, layout=server.layout
+            ).observation()))
+            for name, server in servers.items()
+        }
+        for i in INPUTS
+    ]
 
+
+def _measure_oracle_step() -> dict:
     best_ref = None
     for _ in range(ITERATIONS):
-        os.environ.update(ref_env)
-        try:
-            started = time.perf_counter()
-            ref = _oracle_checksums(CompDiff())
-            wall = time.perf_counter() - started
-        finally:
-            os.environ.pop("REPRO_NO_LOCKSTEP", None)
+        started = time.perf_counter()
+        ref = _reference_checksums(CompDiff())
+        wall = time.perf_counter() - started
         best_ref = wall if best_ref is None else min(best_ref, wall)
 
     best_lock = None
@@ -227,7 +236,7 @@ def render(data: dict) -> str:
         f"T-VM: substrate throughput (best of {data['iterations']}, "
         f"{oracle['inputs']} inputs)",
         "",
-        f"single binary:   one-shot {single['one_shot_exec_per_sec']:>8.1f}/s  "
+        f"single binary:   reference {single['one_shot_exec_per_sec']:>7.1f}/s  "
         f"lockstep {single['lockstep_exec_per_sec']:>8.1f}/s  "
         f"{single['speedup']:.2f}x  identical={single['observations_identical']}",
         f"oracle step x10: reference {oracle['reference_exec_per_sec']:>7.1f}/s  "

@@ -13,7 +13,8 @@ assertion may depend on them (CONTRIBUTING.md rule 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
 
 #: Percentiles reported by ``snapshot()``/``render()``.
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
@@ -68,13 +69,9 @@ class EngineStats:
     #: fresh (non-cache-hit) compile this engine performed.  Parent-process
     #: compiles only: worker replies carry cache counters, not schedules.
     pass_timings: dict[str, list] = field(default_factory=dict)
-    #: Executor accounting (the decode-once lockstep path, PERFORMANCE.md):
-    #: executions served from decoded instruction tables vs the reference
-    #: interpreter fallback (coverage/trace runs or REPRO_NO_LOCKSTEP=1).
-    lockstep_runs: int = 0
-    fallback_runs: int = 0
-    #: Decode-cache accounting: a hit reuses a binary's DecodedProgram, a
-    #: miss decodes the IR into flat tables (once per binary per process).
+    #: Decode-cache accounting (the decode-once executor, PERFORMANCE.md):
+    #: a hit reuses a binary's DecodedProgram, a miss decodes the IR into
+    #: flat tables (once per binary per process).
     decode_hits: int = 0
     decode_misses: int = 0
     #: Batched submission accounting: scatter units serviced and the total
@@ -152,17 +149,14 @@ class EngineStats:
 
     def record_executor(
         self,
-        lockstep: int = 0,
-        fallback: int = 0,
         decode_hits: int = 0,
         decode_misses: int = 0,
         batches: int = 0,
         batch_runs: int = 0,
     ) -> None:
         """Fold executor counters in — called by stats-wired ForkServers on
-        every run and by the parent when folding worker reply deltas."""
-        self.lockstep_runs += lockstep
-        self.fallback_runs += fallback
+        every decode and decode-cache hit, and by the parent when folding
+        worker reply deltas."""
         self.decode_hits += decode_hits
         self.decode_misses += decode_misses
         self.executor_batches += batches
@@ -179,71 +173,32 @@ class EngineStats:
             )
 
     def restore(self, other: "EngineStats") -> None:
-        """Overwrite every counter in place with *other*'s values.
+        """Overwrite every counter in place with a copy of *other*'s values.
 
         Used by checkpoint resume: engines share one stats instance by
         reference, so restoring must mutate rather than reassign.
+        Attributes of *other* that are no longer fields (a checkpoint
+        written by an older version) are ignored.
         """
-        self.exec_counts = dict(other.exec_counts)
-        self.inputs_checked = other.inputs_checked
-        self.timeout_retries = other.timeout_retries
-        self.cache_hits = other.cache_hits
-        self.cache_misses = other.cache_misses
-        self.cache_evictions = other.cache_evictions
-        self.summary_hits = other.summary_hits
-        self.summary_misses = other.summary_misses
-        self.summary_invalidations = other.summary_invalidations
-        self.batches = other.batches
-        self.batch_latencies = list(other.batch_latencies)
-        self.worker_restarts = other.worker_restarts
-        self.task_retries = other.task_retries
-        self.quarantined = other.quarantined
-        self.degraded = dict(other.degraded)
-        self.shard_restarts = other.shard_restarts
-        self.shard_adoptions = other.shard_adoptions
-        self.seeds_quarantined = other.seeds_quarantined
-        self.checkpoints_written = other.checkpoints_written
-        self.checkpoint_latencies = list(other.checkpoint_latencies)
-        self.pass_timings = {name: list(row) for name, row in other.pass_timings.items()}
-        self.lockstep_runs = other.lockstep_runs
-        self.fallback_runs = other.fallback_runs
-        self.decode_hits = other.decode_hits
-        self.decode_misses = other.decode_misses
-        self.executor_batches = other.executor_batches
-        self.executor_batch_runs = other.executor_batch_runs
+        for f in fields(self):
+            setattr(self, f.name, copy.deepcopy(getattr(other, f.name)))
 
     def merge(self, other: "EngineStats") -> None:
-        """Fold another instance's counters into this one."""
-        for name, count in other.exec_counts.items():
-            self.record_exec(name, count)
-        self.inputs_checked += other.inputs_checked
-        self.timeout_retries += other.timeout_retries
-        self.record_cache(other.cache_hits, other.cache_misses, other.cache_evictions)
-        self.record_summary(
-            other.summary_hits, other.summary_misses, other.summary_invalidations
-        )
-        self.batches += other.batches
-        self.batch_latencies.extend(other.batch_latencies)
-        self.worker_restarts += other.worker_restarts
-        self.task_retries += other.task_retries
-        self.quarantined += other.quarantined
-        for name, count in other.degraded.items():
-            self.record_degraded(name, count)
-        self.shard_restarts += other.shard_restarts
-        self.shard_adoptions += other.shard_adoptions
-        self.seeds_quarantined += other.seeds_quarantined
-        self.checkpoints_written += other.checkpoints_written
-        self.checkpoint_latencies.extend(other.checkpoint_latencies)
-        for name, row in other.pass_timings.items():
-            self.record_pass(name, row[0], row[1], row[2])
-        self.record_executor(
-            lockstep=other.lockstep_runs,
-            fallback=other.fallback_runs,
-            decode_hits=other.decode_hits,
-            decode_misses=other.decode_misses,
-            batches=other.executor_batches,
-            batch_runs=other.executor_batch_runs,
-        )
+        """Fold another instance's counters into this one: numbers add,
+        lists extend, dicts add per key (``pass_timings`` rows element-wise)."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, list):
+                mine.extend(theirs)
+            elif isinstance(mine, dict):
+                for key, value in theirs.items():
+                    if isinstance(value, list):
+                        row = mine.get(key, [0] * len(value))
+                        mine[key] = [a + b for a, b in zip(row, value)]
+                    else:
+                        mine[key] = mine.get(key, 0) + value
+            else:
+                setattr(self, f.name, mine + theirs)
 
     # ---------------------------------------------------------------- queries
 
@@ -295,8 +250,6 @@ class EngineStats:
             },
             "timeouts": {"retries": self.timeout_retries},
             "executor": {
-                "lockstep_runs": self.lockstep_runs,
-                "fallback_runs": self.fallback_runs,
                 "decode_hits": self.decode_hits,
                 "decode_misses": self.decode_misses,
                 "batches": self.executor_batches,
@@ -361,11 +314,10 @@ class EngineStats:
             )
         lines.append(f"timeout retries: {snap['timeouts']['retries']}")
         executor = snap["executor"]
-        if executor["lockstep_runs"] or executor["fallback_runs"]:
+        if executor["decode_hits"] or executor["decode_misses"]:
             lines.append(
-                f"executor: {executor['lockstep_runs']} lockstep / "
-                f"{executor['fallback_runs']} fallback; decode cache "
-                f"{executor['decode_hits']} hits / {executor['decode_misses']} misses"
+                f"executor: decode cache {executor['decode_hits']} hits / "
+                f"{executor['decode_misses']} misses"
             )
             if executor["batches"]:
                 lines.append(

@@ -7,7 +7,7 @@ all implementations — every cross-implementation divergence originates in
 the compiled IR or the configured layout, exactly as on real hardware.
 """
 
-from repro.vm.execution import ExecutionResult, Status, run_binary
+from repro.vm.execution import ExecutionResult, Status, run_binary, run_reference
 from repro.vm.forkserver import ForkServer
 from repro.vm.lockstep import (
     DecodedProgram,
@@ -31,4 +31,5 @@ __all__ = [
     "Status",
     "run_binary",
     "run_lockstep",
+    "run_reference",
 ]

@@ -1,11 +1,13 @@
-"""Execution results and the one-shot run entry point."""
+"""Execution results, the one-shot run entry point, and the reference run."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, fields
 
 from repro.compiler.binary import CompiledBinary
+from repro.errors import ReproError
 from repro.vm.machine import DEFAULT_FUEL, Machine
 from repro.vm.memory import ImageLayout
 
@@ -98,7 +100,31 @@ def run_binary(
     coverage=None,
     trace_lines: bool = False,
 ) -> ExecutionResult:
-    """Execute *binary* on *input_bytes* and collect the observation."""
+    """Execute *binary* on *input_bytes* and collect the observation.
+
+    Decodes the binary once (the line-tracing variant when *trace_lines*
+    is set), then runs the decoded tables.
+    """
+    from repro.vm.lockstep import DecodedProgram, LockstepMachine
+
+    decoded = DecodedProgram(binary, layout, trace_lines=trace_lines)
+    machine = LockstepMachine(decoded, input_bytes=input_bytes, fuel=fuel, coverage=coverage)
+    return verified(
+        lambda: collect_result(machine, *machine.run()),
+        binary, input_bytes, fuel, decoded.layout, coverage, trace_lines,
+    )
+
+
+def run_reference(
+    binary: CompiledBinary,
+    input_bytes: bytes = b"",
+    fuel: int = DEFAULT_FUEL,
+    layout: ImageLayout | None = None,
+    coverage=None,
+    trace_lines: bool = False,
+) -> ExecutionResult:
+    """Execute *binary* on ``Machine._loop``, the reference the decoded
+    tables are pinned to (tests and ``REPRO_VERIFY_LOCKSTEP`` use it)."""
     machine = Machine(
         binary,
         input_bytes=input_bytes,
@@ -107,8 +133,35 @@ def run_binary(
         coverage=coverage,
         trace_lines=trace_lines,
     )
-    exit_code, trap, sanitizer_stop = machine.run()
-    return collect_result(machine, exit_code, trap, sanitizer_stop)
+    return collect_result(machine, *machine.run())
+
+
+def verified(run, binary, input_bytes, fuel, layout, coverage=None, trace_lines=False):
+    """``run()``, a decoded execution of *binary*.
+
+    Under ``REPRO_VERIFY_LOCKSTEP=1`` the execution is rerun on
+    :func:`run_reference`, recording edges into its own fresh coverage
+    map, and the first field or coverage-trace mismatch raises.
+    """
+    if os.environ.get("REPRO_VERIFY_LOCKSTEP") != "1":
+        return run()
+    reference_map = None
+    if coverage is not None and binary.instrument_coverage:
+        from repro.fuzzing.coverage import CoverageMap
+
+        reference_map = CoverageMap(coverage.size)
+        reference_map.trace = dict(coverage.trace)
+    result = run()
+    reference = run_reference(binary, input_bytes, fuel, layout, reference_map, trace_lines)
+    pairs = [(f.name, getattr(result, f.name), getattr(reference, f.name)) for f in fields(result)]
+    if reference_map is not None:
+        pairs.append(("coverage trace", coverage.trace, reference_map.trace))
+    for name, got, want in pairs:
+        if got != want:
+            raise ReproError(
+                f"lockstep divergence on {binary.name}: {name} {got!r} != reference {want!r}"
+            )
+    return result
 
 
 def collect_result(
@@ -116,8 +169,8 @@ def collect_result(
 ) -> ExecutionResult:
     """Fold a finished machine's outcome into an :class:`ExecutionResult`.
 
-    Shared by the reference path above and the lockstep fast path so the
-    status mapping and sanitizer stderr report stay byte-identical.
+    Shared by the decoded and the reference loops so the status mapping
+    and sanitizer stderr report stay byte-identical.
     """
     if sanitizer_stop is not None:
         status = Status.SANITIZER

@@ -4,44 +4,24 @@ Real AFL++ injects a forkserver so the target's process image is set up
 once and each test case only pays for a fork (§3.2, [26]).  The analog
 here: the :class:`~repro.vm.memory.ImageLayout` (global layout, frame
 layouts, coverage ids) is computed once per binary, and every ``run`` gets
-a fresh :class:`~repro.vm.machine.Machine` that merely copies the
-pre-built segment templates.
+a fresh machine that merely copies the pre-built segment templates.
 
-Since the throughput rearchitecture the forkserver also owns the binary's
+The forkserver also owns the binary's
 :class:`~repro.vm.lockstep.DecodedProgram`: the first execution decodes
-the IR into flat pre-resolved instruction tables, and every subsequent
-input runs from that decoded form (a decode-cache hit).  Executions that
-need coverage maps or line traces fall back to the reference
-:class:`~repro.vm.machine.Machine`; ``REPRO_NO_LOCKSTEP=1`` forces the
-fallback globally and ``REPRO_VERIFY_LOCKSTEP=1`` cross-checks every
-lockstep run against the reference interpreter (docs/PERFORMANCE.md).
+the IR into flat pre-resolved instruction tables, and every input runs
+from that decoded form (later executions are decode-cache hits),
+coverage runs of an instrumented binary included.
+``REPRO_VERIFY_LOCKSTEP=1`` cross-checks every run, coverage trace
+included, against the reference loop (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.compiler.binary import CompiledBinary
-from repro.errors import ReproError
-from repro.vm.execution import ExecutionResult, run_binary
+from repro.vm.execution import ExecutionResult, verified
 from repro.vm.lockstep import DecodedProgram, run_lockstep
 from repro.vm.machine import DEFAULT_FUEL
 from repro.vm.memory import ImageLayout
-
-#: Fields that must agree between the lockstep and reference interpreters
-#: under REPRO_VERIFY_LOCKSTEP=1.  ``line_trace`` is excluded (the
-#: fallback path owns tracing); ``output_checksum`` is transport, not
-#: an observation.
-_VERIFY_FIELDS = (
-    "stdout",
-    "stderr",
-    "exit_code",
-    "status",
-    "trap",
-    "sanitizer_report",
-    "bug_sites",
-    "executed_instructions",
-)
 
 
 class ForkServer:
@@ -51,23 +31,18 @@ class ForkServer:
         self,
         binary: CompiledBinary,
         fuel: int = DEFAULT_FUEL,
-        lockstep: bool = True,
         stats=None,
     ) -> None:
         self.binary = binary
         self.fuel = fuel
         self.layout = ImageLayout(binary)
         self.executions = 0
-        self.lockstep = lockstep and os.environ.get("REPRO_NO_LOCKSTEP") != "1"
-        self._verify = os.environ.get("REPRO_VERIFY_LOCKSTEP") == "1"
         #: Optional EngineStats sink; counters below are always kept so
         #: engine workers can report deltas without holding a stats object.
         self.stats = stats
         self._decoded: DecodedProgram | None = None
         self.decode_hits = 0
         self.decode_misses = 0
-        self.lockstep_runs = 0
-        self.fallback_runs = 0
 
     def decoded(self) -> DecodedProgram:
         """The binary's decoded instruction tables, built on first use."""
@@ -83,37 +58,12 @@ class ForkServer:
         """Execute one input (the "forked child")."""
         self.executions += 1
         use_fuel = fuel if fuel is not None else self.fuel
-        if coverage is not None or not self.lockstep:
-            self.fallback_runs += 1
-            if self.stats is not None:
-                self.stats.record_executor(fallback=1)
-            return run_binary(
-                self.binary,
-                input_bytes=input_bytes,
-                fuel=use_fuel,
-                layout=self.layout,
-                coverage=coverage,
-            )
-        warm = self._decoded is not None
-        decoded = self.decoded()
-        if warm:
+        if self._decoded is not None:
             self.decode_hits += 1
-        self.lockstep_runs += 1
-        if self.stats is not None:
-            self.stats.record_executor(lockstep=1, decode_hits=int(warm))
-        result = run_lockstep(decoded, input_bytes=input_bytes, fuel=use_fuel)
-        if self._verify:
-            self._cross_check(result, input_bytes, use_fuel)
-        return result
-
-    def _cross_check(self, result: ExecutionResult, input_bytes: bytes, fuel: int) -> None:
-        reference = run_binary(
-            self.binary, input_bytes=input_bytes, fuel=fuel, layout=self.layout
+            if self.stats is not None:
+                self.stats.record_executor(decode_hits=1)
+        decoded = self.decoded()
+        return verified(
+            lambda: run_lockstep(decoded, input_bytes=input_bytes, fuel=use_fuel, coverage=coverage),
+            self.binary, input_bytes, use_fuel, self.layout, coverage,
         )
-        for field in _VERIFY_FIELDS:
-            got, want = getattr(result, field), getattr(reference, field)
-            if got != want:
-                raise ReproError(
-                    f"lockstep divergence on {self.binary.name}: "
-                    f"{field} {got!r} != reference {want!r}"
-                )

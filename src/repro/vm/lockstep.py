@@ -1,8 +1,7 @@
-"""Decode-once lockstep execution: the throughput fast path.
+"""Decode-once execution: the one dispatch loop every run goes through.
 
 The oracle costs "roughly 10×" a single execution (§5) because every
-input re-walks each implementation's IR through the reference
-:class:`~repro.vm.machine.Machine`: per instruction that is a dict
+input re-walks each implementation's IR: per instruction that is a dict
 dispatch, several ``isinstance`` operand probes, and a handful of
 attribute loads that never change between runs.  This module pays that
 cost once per *binary* instead of once per *execution*: each function is
@@ -14,18 +13,23 @@ addresses, and integer-op semantics pre-resolved, plus a
 form, and a :class:`LockstepExecutor` drives all k implementations of
 one program over an input from their decoded tables.
 
-Byte-identity with the reference interpreter is the contract, not a
-goal: specialized steps are only emitted for unsanitized binaries and
-for operations whose reference semantics are trap-free; everything else
+Coverage and line tracing are decode-time variants: an instrumented
+binary's ``Jump``/``Branch`` steps are the shared edge-recording
+handlers, and ``trace_lines=True`` wraps each step to append its line.
+
+Byte-identity with the reference loop (``Machine._loop``, reached through
+:func:`repro.vm.execution.run_reference`) is the contract, not a goal:
+specialized steps are only emitted for unsanitized binaries and for
+operations whose reference semantics are trap-free; everything else
 (division, float arithmetic, calls, builtins, returns, and every
 instruction of a sanitized binary) executes through the *same* unbound
 ``Machine._op_*`` handlers the reference dispatch table uses.  Fuel is
 kept as a machine attribute — builtins charge per-byte fuel on the
 machine directly — and the per-instruction ordering (advance, count,
-burn fuel, check timeout, dispatch) matches ``Machine._loop`` exactly,
-so fuel-timeout boundaries land on the same instruction.  Set
-``REPRO_VERIFY_LOCKSTEP=1`` to cross-check every lockstep execution
-against the reference machine (see docs/PERFORMANCE.md).
+burn fuel, check timeout, trace, dispatch) matches ``Machine._loop``
+exactly, so fuel-timeout boundaries land on the same instruction.  Set
+``REPRO_VERIFY_LOCKSTEP=1`` to cross-check every execution against the
+reference loop (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from repro.minic.types import FloatType, IntType, PointerType
 from repro.vm.execution import ExecutionResult, collect_result
 from repro.vm.machine import (
     DEFAULT_FUEL,
+    LINE_TRACE_LIMIT,
     Machine,
     _cast_value,
     _DISPATCH,
@@ -63,7 +68,7 @@ from repro.vm.machine import (
     _Timeout,
     _U64,
 )
-from repro.vm.memory import ImageLayout, MemTrap, SanitizerStop
+from repro.vm.memory import ImageLayout
 
 _CMP_FNS = {
     "eq": operator.eq,
@@ -151,7 +156,9 @@ def _int_op_fn(op: str, itype: IntType) -> Callable | None:
     return None
 
 
-def _decode_instr(instr, layout: ImageLayout, frame_layout, sanitized: bool):
+def _decode_instr(
+    instr, layout: ImageLayout, frame_layout, sanitized: bool, instrumented: bool
+):
     """One instruction → one step callable ``(machine, frame, instr) -> ...``.
 
     A non-None return from a step signals a control transfer, mirroring
@@ -167,6 +174,9 @@ def _decode_instr(instr, layout: ImageLayout, frame_layout, sanitized: bool):
     if sanitized:
         # msan/ubsan/asan consult taint bits and insert checks on the hot
         # path; the reference handlers already encode all of it.
+        return generic
+    if instrumented and kind in (Jump, Branch):
+        # The shared handlers record the coverage edge in _enter_block.
         return generic
 
     if kind is Const:
@@ -458,6 +468,19 @@ def _decode_instr(instr, layout: ImageLayout, frame_layout, sanitized: bool):
     return generic
 
 
+def _traced(step, line: int):
+    """*step*, first appending *line* to the machine's line trace the way
+    ``Machine._loop`` does: consecutive duplicates collapsed, capped."""
+
+    def traced(machine, frame, arg, _step=step, _line=line):
+        trace = machine.line_trace
+        if (not trace or trace[-1] != _line) and len(trace) < LINE_TRACE_LIMIT:
+            trace.append(_line)
+        return _step(machine, frame, arg)
+
+    return traced
+
+
 #: Steps that may touch machine-level counters (fuel via builtins) and so
 #: need the loop's local fuel flushed/reloaded around the call.
 _GENERIC_STEPS = frozenset(_DISPATCH.values())
@@ -483,15 +506,20 @@ class DecodedFunction:
         self.block_offsets = block_offsets
 
 
-def _decode_function(func, layout: ImageLayout, sanitized: bool) -> DecodedFunction:
+def _decode_function(
+    func, layout: ImageLayout, sanitized: bool, instrumented: bool, trace_lines: bool
+) -> DecodedFunction:
     frame_layout = layout.frames.get(func.name)
     code: list[tuple] = []
     block_offsets: dict[str, int] = {}
     for label, block in func.blocks.items():
         block_offsets[label] = len(code)
         for instr in block.instrs:
-            step = _decode_instr(instr, layout, frame_layout, sanitized)
-            code.append((step, instr, step in _GENERIC_STEPS))
+            step = _decode_instr(instr, layout, frame_layout, sanitized, instrumented)
+            sync = step in _GENERIC_STEPS
+            if trace_lines and instr.line:
+                step = _traced(step, instr.line)
+            code.append((step, instr, sync))
         code.append((None, label, False))
     return DecodedFunction(func, code, block_offsets)
 
@@ -501,12 +529,19 @@ class DecodedProgram:
 
     __slots__ = ("binary", "layout", "functions", "instruction_count")
 
-    def __init__(self, binary: CompiledBinary, layout: ImageLayout | None = None) -> None:
+    def __init__(
+        self,
+        binary: CompiledBinary,
+        layout: ImageLayout | None = None,
+        trace_lines: bool = False,
+    ) -> None:
         self.binary = binary
         self.layout = layout if layout is not None else ImageLayout(binary)
         sanitized = binary.sanitizer is not None
         self.functions = {
-            name: _decode_function(func, self.layout, sanitized)
+            name: _decode_function(
+                func, self.layout, sanitized, binary.instrument_coverage, trace_lines
+            )
             for name, func in binary.module.functions.items()
         }
         self.instruction_count = sum(
@@ -519,63 +554,34 @@ class _LFrame(_Frame):
 
 
 class LockstepMachine(Machine):
-    """Reference-semantics interpreter over a :class:`DecodedProgram`.
-
-    Never instantiated with coverage or line tracing — callers fall back
-    to the reference :class:`Machine` for those (ForkServer counts them
-    as fallback executions).
-    """
+    """The dispatch loop over a :class:`DecodedProgram`; everything but
+    the loop and frame positioning is :class:`Machine`'s."""
 
     def __init__(
         self,
         decoded: DecodedProgram,
         input_bytes: bytes = b"",
         fuel: int = DEFAULT_FUEL,
+        coverage=None,
     ) -> None:
         super().__init__(
             decoded.binary,
             input_bytes=input_bytes,
             fuel=fuel,
             layout=decoded.layout,
+            coverage=coverage,
         )
         self.decoded = decoded
 
-    def _push_call(self, callee: str, args: list, ret_reg, line: int) -> None:
-        # Mirrors Machine._push_call but builds an _LFrame positioned at
-        # the callee's decoded entry offset.  Coverage edges are omitted:
-        # lockstep machines never carry a coverage map.
-        func = self.module.functions.get(callee)
-        if func is None:
-            raise VMError(f"call to undefined function {callee!r}")
-        if len(self._frames) >= 256:
-            raise MemTrap("segv", 0, line, "call stack exhausted")
-        if self._ubsan and len(args) < len(func.params):
-            raise SanitizerStop(
-                "function-type-mismatch",
-                line,
-                f"{callee} expects {len(func.params)} args, got {len(args)}",
-            )
-        regs = [0] * max(func.num_regs, len(func.params))
-        taints = [False] * len(regs) if self._msan else None
-        for i, (_, param_type) in enumerate(func.params):
-            if i < len(args):
-                value, taint = args[i]
-            else:
-                value, taint = self.config.missing_arg_value, False
-            if isinstance(param_type, IntType):
-                value = param_type.wrap(int(value))
-            regs[i] = value
-            if taints is not None:
-                taints[i] = taint
-        base, frame_layout = self.memory.push_frame(func.name, line)
+    def _new_frame(self, func, regs, taints, base, frame_layout, ret_reg) -> _LFrame:
         frame = _LFrame(func, regs, taints, base, frame_layout, ret_reg)
-        decoded = self.decoded.functions[callee]
+        decoded = self.decoded.functions[func.name]
         offset = decoded.block_offsets.get(func.entry)
         if offset is None:
             raise VMError(f"missing block {func.entry} in {func.name}")
         frame.decoded = decoded
         frame.pc = offset
-        self._frames.append(frame)
+        return frame
 
     def _loop(self) -> None:
         # Per-instruction ordering is the reference loop's, verbatim:
@@ -633,11 +639,11 @@ def run_lockstep(
     decoded: DecodedProgram,
     input_bytes: bytes = b"",
     fuel: int = DEFAULT_FUEL,
+    coverage=None,
 ) -> ExecutionResult:
-    """Execute one input from decoded form; mirrors :func:`run_binary`."""
-    machine = LockstepMachine(decoded, input_bytes=input_bytes, fuel=fuel)
-    exit_code, trap, sanitizer_stop = machine.run()
-    return collect_result(machine, exit_code, trap, sanitizer_stop)
+    """Execute one input from decoded form."""
+    machine = LockstepMachine(decoded, input_bytes=input_bytes, fuel=fuel, coverage=coverage)
+    return collect_result(machine, *machine.run())
 
 
 class LockstepExecutor:
@@ -651,10 +657,6 @@ class LockstepExecutor:
 
     def __init__(self, servers: Mapping[str, "ForkServer"]) -> None:  # noqa: F821
         self._servers = dict(servers)
-
-    @property
-    def servers(self):
-        return self._servers
 
     def decode_all(self) -> int:
         """Eagerly decode every implementation; returns total table size."""

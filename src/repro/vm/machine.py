@@ -5,6 +5,10 @@ given *some* deterministic concrete semantics here (x86-flavored: masked
 shift counts, trapping integer division, truncating float→int casts); the
 cross-implementation divergence the paper studies comes from the compiled
 IR and the layout policy, not from interpreter nondeterminism.
+
+Production runs go through the decoded tables of :mod:`repro.vm.lockstep`,
+which reuse this state and these handlers; ``Machine._loop`` is the
+reference they are pinned to (:func:`repro.vm.execution.run_reference`).
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from repro.vm.memory import ImageLayout, Memory, MemTrap, SanitizerStop
 
 DEFAULT_FUEL = 2_000_000
 OUTPUT_LIMIT = 1 << 20
+#: Entries a source-line trace keeps before it stops growing.
+LINE_TRACE_LIMIT = 200_000
 
 
 class _Exit(Exception):
@@ -63,7 +69,8 @@ class _Frame:
 
 
 class Machine:
-    """Interprets one execution of *binary* on *input_bytes*."""
+    """One execution of *binary* on *input_bytes*: state, instruction
+    handlers, and the reference dispatch loop ``_loop``."""
 
     def __init__(
         self,
@@ -139,7 +146,7 @@ class Machine:
                     raise _Timeout()
                 if self.trace_lines and instr.line:
                     trace = self.line_trace
-                    if (not trace or trace[-1] != instr.line) and len(trace) < 200_000:
+                    if (not trace or trace[-1] != instr.line) and len(trace) < LINE_TRACE_LIMIT:
                         trace.append(instr.line)
                 handler = _DISPATCH.get(type(instr))
                 if handler is None:
@@ -203,12 +210,15 @@ class Machine:
             if taints is not None:
                 taints[i] = taint
         base, frame_layout = self.memory.push_frame(func.name, line)
-        frame = _Frame(func, regs, taints, base, frame_layout, ret_reg)
-        self._frames.append(frame)
+        self._frames.append(self._new_frame(func, regs, taints, base, frame_layout, ret_reg))
         if self.coverage is not None:
             cur = self.layout.label_ids[(func.name, func.entry)]
             self.coverage.record_edge(self._prev_location, cur)
             self._prev_location = cur
+
+    def _new_frame(self, func, regs, taints, base, frame_layout, ret_reg) -> _Frame:
+        """The callee's frame, positioned at its entry block."""
+        return _Frame(func, regs, taints, base, frame_layout, ret_reg)
 
     # ------------------------------------------------------------ instruction ops
 

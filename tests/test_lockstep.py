@@ -1,16 +1,18 @@
-"""Byte-identity gates for the decode-once lockstep executor.
+"""Byte-identity gates for the decode-once executor.
 
-The lockstep fast path (``repro.vm.lockstep``) replaces the reference
-:class:`~repro.vm.machine.Machine`'s per-instruction IR walk with flat
-pre-decoded instruction tables.  Its contract is strict: for every
-binary and input, the lockstep run must be indistinguishable from the
-reference run in every observable field — outputs, exit status, trap
-kind, sanitizer report, bug sites, and the executed-instruction count
-(which the fuel/timeout semantics hang off).  These tests pin that
-contract over the full golden compile corpus (385 programs × 10
-implementations) and over every terminal status class, and exercise the
-ForkServer routing (decode cache, coverage fallback, REPRO_NO_LOCKSTEP,
-REPRO_VERIFY_LOCKSTEP) plus the executor's k-1 degrade hook.
+Every execution runs on flat pre-decoded instruction tables
+(``repro.vm.lockstep``); the reference loop ``Machine._loop``, reached
+through ``run_reference``, is the specification they are pinned to.
+For every binary and input the decoded run must be indistinguishable
+from the reference run in every observable field — outputs, exit
+status, trap kind, sanitizer report, bug sites, the executed-instruction
+count (which the fuel/timeout semantics hang off), the line trace of a
+tracing run, and the coverage edges of an instrumented binary.  These
+tests pin that contract over the full golden compile corpus (385
+programs × 10 implementations, plus each program's coverage-instrumented
+fuzz binary) and over every terminal status class, and exercise the
+ForkServer (decode cache, coverage runs, REPRO_VERIFY_LOCKSTEP) plus the
+executor's k-1 degrade hook.
 """
 
 from __future__ import annotations
@@ -22,11 +24,19 @@ import sys
 import pytest
 
 from repro.compiler import compile_source
-from repro.compiler.implementations import DEFAULT_IMPLEMENTATIONS, implementation
+from repro.compiler.implementations import DEFAULT_IMPLEMENTATIONS, FUZZ_CONFIG, implementation
 from repro.errors import ReproError
+from repro.fuzzing.coverage import CoverageMap
 from repro.juliet import build_suite
 from repro.parallel.stats import EngineStats
-from repro.vm import DecodedProgram, ForkServer, LockstepExecutor, run_binary, run_lockstep
+from repro.vm import (
+    DecodedProgram,
+    ForkServer,
+    LockstepExecutor,
+    run_binary,
+    run_lockstep,
+    run_reference,
+)
 from repro.vm.execution import ExecutionResult, Status, deadline_result
 from repro.vm.memory import ImageLayout
 
@@ -34,8 +44,8 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 
 #: Every observable an oracle verdict can depend on.  ``line_trace`` is
-#: excluded by design (tracing runs take the reference path) and
-#: ``output_checksum`` is transport filled in by the engine, not the VM.
+#: compared separately on tracing runs, and ``output_checksum`` is
+#: transport filled in by the engine, not the VM.
 IDENTITY_FIELDS = (
     "stdout",
     "stderr",
@@ -56,10 +66,10 @@ def assert_identical(lock: ExecutionResult, ref: ExecutionResult, context: str) 
 
 
 def both_runs(binary, input_bytes: bytes = b"", fuel=None):
-    """One reference run and one lockstep run of the same binary."""
+    """One reference run and one decoded run of the same binary."""
     layout = ImageLayout(binary)
     kwargs = {} if fuel is None else {"fuel": fuel}
-    ref = run_binary(binary, input_bytes=input_bytes, layout=layout, **kwargs)
+    ref = run_reference(binary, input_bytes=input_bytes, layout=layout, **kwargs)
     lock = run_lockstep(DecodedProgram(binary, layout), input_bytes=input_bytes, **kwargs)
     return lock, ref
 
@@ -93,15 +103,36 @@ def corpus():
 class TestGoldenCorpusIdentity:
     def test_lockstep_matches_reference_over_golden_corpus(self, corpus):
         # The headline gate: 385 programs × 10 implementations, every
-        # observable field byte-identical between the two interpreters.
+        # observable field byte-identical between the decoded tables (the
+        # oracle's cached decode, and the one-shot line-tracing decode)
+        # and the reference loop; then each program's coverage-
+        # instrumented fuzz binary, whose decoded runs must record the
+        # reference's edges.
         mismatches = []
         for key, source in corpus.items():
             for config in DEFAULT_IMPLEMENTATIONS:
                 binary = compile_source(source, config, name=key)
-                lock, ref = both_runs(binary)
+                layout = ImageLayout(binary)
+                ref = run_reference(binary, layout=layout, trace_lines=True)
+                lock = run_lockstep(DecodedProgram(binary, layout))
+                traced = run_lockstep(DecodedProgram(binary, layout, trace_lines=True))
                 for field in IDENTITY_FIELDS:
                     if getattr(lock, field) != getattr(ref, field):
                         mismatches.append((key, config.name, field))
+                for field in IDENTITY_FIELDS + ("line_trace",):
+                    if getattr(traced, field) != getattr(ref, field):
+                        mismatches.append((key, config.name, f"traced {field}"))
+            binary = compile_source(source, FUZZ_CONFIG, name=key, instrument_coverage=True)
+            server = ForkServer(binary)
+            for payload in (b"", b"hello"):
+                ref_map, lock_map = CoverageMap(), CoverageMap()
+                ref = run_reference(binary, payload, layout=server.layout, coverage=ref_map)
+                lock = server.run(payload, coverage=lock_map)
+                for field in IDENTITY_FIELDS:
+                    if getattr(lock, field) != getattr(ref, field):
+                        mismatches.append((key, "fuzz", field))
+                if lock_map.trace != ref_map.trace:
+                    mismatches.append((key, "fuzz", "coverage trace"))
         assert not mismatches, f"{len(mismatches)} diverged: {mismatches[:10]}"
 
     def test_lockstep_matches_reference_with_inputs(self, corpus):
@@ -215,6 +246,20 @@ class TestStatusParity:
         assert_identical(lock, ref, "ok")
 
 
+BRANCHY = """
+int twice(int x) { return x * 2; }
+int main(void) {
+  unsigned int i;
+  int acc = 0;
+  for (i = 0u; i < input_size(); i++) {
+    if (input_byte(i) == 97) { acc = acc + twice((int)i); } else { acc = acc - 1; }
+  }
+  printf("%d\\n", acc);
+  return 0;
+}
+"""
+
+
 class TestForkServerRouting:
     SRC = 'int main(void){ printf("%u", input_size()); return 0; }'
 
@@ -227,22 +272,21 @@ class TestForkServerRouting:
             assert server.run(payload).stdout == str(i).encode()
         assert server.decode_misses == 1
         assert server.decode_hits == 2
-        assert server.lockstep_runs == 3 and server.fallback_runs == 0
         snap = stats.snapshot()["executor"]
-        assert snap["lockstep_runs"] == 3
         assert snap["decode_hits"] == 2 and snap["decode_misses"] == 1
 
-    def test_coverage_forces_reference_fallback(self):
-        server = ForkServer(compile_source(self.SRC, implementation("gcc-O0")))
-        server.run(b"", coverage=set())
-        assert server.fallback_runs == 1 and server.lockstep_runs == 0
-
-    def test_no_lockstep_env_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_LOCKSTEP", "1")
-        server = ForkServer(compile_source(self.SRC, implementation("gcc-O0")))
-        result = server.run(b"xyz")
-        assert result.stdout == b"3"
-        assert server.fallback_runs == 1 and server.lockstep_runs == 0
+    def test_coverage_runs_use_decode_cache(self):
+        # Coverage runs are served from the cached decode and record the
+        # same edges, in the same counts, as the reference loop.
+        binary = compile_source(BRANCHY, FUZZ_CONFIG, instrument_coverage=True)
+        server = ForkServer(binary)
+        for payload in (b"", b"ab", b"abcd"):
+            lock_map, ref_map = CoverageMap(), CoverageMap()
+            lock = server.run(payload, coverage=lock_map)
+            ref = run_reference(binary, payload, coverage=ref_map)
+            assert_identical(lock, ref, repr(payload))
+            assert lock_map.trace and lock_map.trace == ref_map.trace
+        assert server.decode_misses == 1 and server.decode_hits == 2
 
     def test_verify_mode_accepts_identical_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_LOCKSTEP", "1")
@@ -255,7 +299,7 @@ class TestForkServerRouting:
         monkeypatch.setenv("REPRO_VERIFY_LOCKSTEP", "1")
         server = ForkServer(compile_source(self.SRC, implementation("gcc-O0")))
 
-        def tampered(decoded, input_bytes, fuel):
+        def tampered(decoded, input_bytes, fuel, coverage=None):
             result = run_lockstep(decoded, input_bytes=input_bytes, fuel=fuel)
             result.stdout = result.stdout + b"!"
             return result
@@ -263,6 +307,34 @@ class TestForkServerRouting:
         monkeypatch.setattr(forkserver_mod, "run_lockstep", tampered)
         with pytest.raises(ReproError, match="lockstep divergence"):
             server.run(b"")
+
+    def test_verify_mode_rejects_tampered_coverage(self, monkeypatch):
+        import repro.vm.forkserver as forkserver_mod
+
+        monkeypatch.setenv("REPRO_VERIFY_LOCKSTEP", "1")
+        server = ForkServer(compile_source(BRANCHY, FUZZ_CONFIG, instrument_coverage=True))
+        coverage = CoverageMap()
+        server.run(b"ab", coverage=coverage)  # identical runs pass
+
+        def tampered(decoded, input_bytes, fuel, coverage=None):
+            result = run_lockstep(decoded, input_bytes=input_bytes, fuel=fuel, coverage=coverage)
+            coverage.record_edge(0, 1)
+            return result
+
+        monkeypatch.setattr(forkserver_mod, "run_lockstep", tampered)
+        coverage.reset_trace()
+        with pytest.raises(ReproError, match="lockstep divergence.*coverage trace"):
+            server.run(b"ab", coverage=coverage)
+
+    def test_verify_mode_checks_one_shot_line_trace(self, monkeypatch):
+        import repro.vm.lockstep as lockstep_mod
+
+        monkeypatch.setenv("REPRO_VERIFY_LOCKSTEP", "1")
+        binary = compile_source(BRANCHY, implementation("gcc-O0"))
+        assert run_binary(binary, b"ab", trace_lines=True).line_trace
+        monkeypatch.setattr(lockstep_mod, "LINE_TRACE_LIMIT", 1)
+        with pytest.raises(ReproError, match="lockstep divergence.*line_trace"):
+            run_binary(binary, b"ab", trace_lines=True)
 
 
 class TestLockstepExecutor:
